@@ -14,10 +14,9 @@ Two instruments, one subsystem:
   simulation's own shared resources (IKC rings, memcg accounting,
   runqueues, the run cache), fed by tracer-style ambient hooks;
 * the **crash-consistency analyzer**
-  (:mod:`repro.analysis.crashsafe`, CC001–CC009 on the per-function
-  CFG layer in :mod:`repro.analysis.cfg`) — durability-idiom
-  dataflow, chaos-catalogue coherence, crash-absorption and
-  resource-release checks, journal-fold coverage.
+  (:mod:`repro.analysis.crashsafe`, CC001/CC007/CC009) — containment
+  of raw durability syscalls to :mod:`repro.durable`,
+  crash-absorbing handlers, journal-fold coverage.
 
 CLI: ``repro analyze lint [paths...]``, ``repro analyze crash
 [paths...]``, ``repro analyze rules`` and ``repro analyze race
@@ -27,7 +26,6 @@ formats.
 """
 
 from .baseline import DEFAULT_BASELINE_PATH, Baseline, BaselineEntry
-from .cfg import CFG, build_cfg, function_cfgs
 from .crashsafe import (
     CC_RULES,
     DEFAULT_CRASH_BASELINE_PATH,
@@ -49,7 +47,6 @@ __all__ = [
     "Baseline",
     "BaselineEntry",
     "CC_RULES",
-    "CFG",
     "CrashReport",
     "DEFAULT_BASELINE_PATH",
     "DEFAULT_CRASH_BASELINE_PATH",
@@ -59,10 +56,8 @@ __all__ = [
     "RULES",
     "RaceDetector",
     "RaceViolation",
-    "build_cfg",
     "crash_report",
     "detecting",
-    "function_cfgs",
     "get_race_detector",
     "lint_paths",
     "run_crash",

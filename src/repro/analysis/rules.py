@@ -21,7 +21,8 @@ import ast
 from dataclasses import dataclass
 
 __all__ = ["ALL_RULES_BY_ID", "LintRule", "Finding", "RULES",
-           "RULES_BY_ID", "FileChecker", "register_rules"]
+           "RULES_BY_ID", "FileChecker", "import_aliases", "qualname",
+           "register_rules"]
 
 
 @dataclass(frozen=True)
@@ -155,6 +156,37 @@ class Finding:
                 f"    fix: {rule.fixit}")
 
 
+def import_aliases(tree: ast.AST) -> "dict[str, str]":
+    """local name -> fully-qualified origin, from every import in
+    ``tree`` (``import numpy as np`` maps ``np`` to ``numpy``; ``from
+    os import write`` maps ``write`` to ``os.write``)."""
+    aliases: dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                local = alias.asname or alias.name.split(".", 1)[0]
+                aliases[local] = (alias.name if alias.asname
+                                  else alias.name.split(".", 1)[0])
+        elif isinstance(node, ast.ImportFrom):
+            module = ("." * node.level) + (node.module or "")
+            for alias in node.names:
+                local = alias.asname or alias.name
+                aliases[local] = f"{module}.{alias.name}"
+    return aliases
+
+
+def qualname(node: ast.AST, aliases: "dict[str, str]") -> str:
+    """Dotted name of an expression, import aliases resolved
+    (``np.random.seed`` -> ``numpy.random.seed``); "" when the
+    expression is not a plain dotted name."""
+    if isinstance(node, ast.Name):
+        return aliases.get(node.id, node.id)
+    if isinstance(node, ast.Attribute):
+        base = qualname(node.value, aliases)
+        return f"{base}.{node.attr}" if base else ""
+    return ""
+
+
 #: Fully-qualified callables that read the host wall clock (DET001).
 _WALL_CLOCK = frozenset({
     "time.time", "time.time_ns",
@@ -231,7 +263,7 @@ class FileChecker(ast.NodeVisitor):
         self.findings: list[Finding] = []
         self._scope: list[str] = []
         #: local name -> fully-qualified origin, from import statements.
-        self._aliases: dict[str, str] = {}
+        self._aliases = import_aliases(tree)
         #: child node id -> parent node, for upward context checks.
         self._parents: dict[int, ast.AST] = {}
         for node in ast.walk(tree):
@@ -252,15 +284,7 @@ class FileChecker(ast.NodeVisitor):
             snippet=snippet, message=message))
 
     def _qual(self, node: ast.AST) -> str:
-        """Dotted name of an expression, import aliases resolved
-        (``np.random.seed`` -> ``numpy.random.seed``); "" when the
-        expression is not a plain dotted name."""
-        if isinstance(node, ast.Name):
-            return self._aliases.get(node.id, node.id)
-        if isinstance(node, ast.Attribute):
-            base = self._qual(node.value)
-            return f"{base}.{node.attr}" if base else ""
-        return ""
+        return qualname(node, self._aliases)
 
     def _in_sink_scope(self) -> bool:
         return any(fragment in part.lower()
@@ -303,22 +327,6 @@ class FileChecker(ast.NodeVisitor):
                 and isinstance(node.func, ast.Attribute)
                 and node.func.attr in ("keys", "values", "items")
                 and not node.args and not node.keywords)
-
-    # -- imports -------------------------------------------------------
-
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            local = alias.asname or alias.name.split(".", 1)[0]
-            self._aliases[local] = (alias.name if alias.asname
-                                    else alias.name.split(".", 1)[0])
-        self.generic_visit(node)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        module = ("." * node.level) + (node.module or "")
-        for alias in node.names:
-            local = alias.asname or alias.name
-            self._aliases[local] = f"{module}.{alias.name}"
-        self.generic_visit(node)
 
     # -- scope ---------------------------------------------------------
 

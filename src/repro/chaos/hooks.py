@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Iterator, NoReturn, Optional
 
 import numpy as np
 
-from ..errors import CrashInjected
+from ..errors import ConfigurationError, CrashInjected
 from ..obs.metrics import get_metrics
 from ..obs.tracer import get_tracer
 from ..sim.rng import fnv1a_64
@@ -42,13 +42,14 @@ from ..sim.rng import fnv1a_64
 if TYPE_CHECKING:
     from .spec import ChaosSpec
 
-__all__ = ["CRASH_POINTS", "CRASH_SITE_REGISTRY", "WRITE_SITES",
+__all__ = ["CRASH_POINTS", "WRITE_SITES",
            "ChaosInjector", "chaos_active", "chaos_suspended",
            "get_chaos", "install_chaos"]
 
 #: The crash-point catalogue, in sorted order.  Hook call sites must
 #: name one of these — an unknown site is a ConfigurationError at
-#: policy-build time, so a typo never silently disables a schedule.
+#: policy-build time and when an injector evaluates it, so a typo
+#: never silently disables a schedule.
 #: Each entry is one dangerous instruction window; see docs/CHAOS.md
 #: for the on-disk state a crash at each point leaves behind.
 CRASH_POINTS = (
@@ -65,56 +66,15 @@ CRASH_POINTS = (
     "worker.publish.pre_rename",
 )
 
-#: Sites that wrap an in-flight ``write(2)`` and therefore support the
-#: *torn-write* action (truncating the write at a seeded byte offset).
+#: Sites that wrap an in-flight ``write(2)`` (through
+#: :mod:`repro.durable`) and therefore support the *torn-write* action
+#: (truncating the write at a seeded byte offset).
 WRITE_SITES = frozenset({
     "cache.put",
     "journal.append",
     "queue.lease_bump",
     "telemetry.append",
 })
-
-#: Where each crash point lives, as ``canonical-path::scope`` pairs.
-#: ``repro analyze crash`` (rule CC004) enforces *exact* agreement
-#: with the ``get_chaos()`` call sites it finds, so deleting or moving
-#: a hook — or adding one without registering it here — fails the lint
-#: gate instead of silently shrinking the chaos surface.
-CRASH_SITE_REGISTRY: dict = {
-    "cache.put": (
-        "repro/perf/cache.py::RunCache.put",
-    ),
-    "engine.run": (
-        "repro/engine.py::ExecutionEngine.export_experiments",
-        "repro/engine.py::ExecutionEngine.run_specs",
-    ),
-    "journal.append": (
-        "repro/service/journal.py::Journal.append",
-    ),
-    "queue.claim": (
-        "repro/service/queue.py::JobQueue.claim_next",
-    ),
-    "queue.complete": (
-        "repro/service/queue.py::JobQueue.complete",
-    ),
-    "queue.lease_break": (
-        "repro/service/queue.py::JobQueue.break_lease",
-    ),
-    "queue.lease_bump": (
-        "repro/service/queue.py::JobQueue.heartbeat",
-    ),
-    "queue.submit": (
-        "repro/service/queue.py::JobQueue.submit",
-    ),
-    "telemetry.append": (
-        "repro/obs/spool.py::TelemetrySpool._append",
-    ),
-    "worker.publish.post_rename": (
-        "repro/service/worker.py::Worker._publish",
-    ),
-    "worker.publish.pre_rename": (
-        "repro/service/worker.py::Worker._publish",
-    ),
-}
 
 #: Exit status delivered by *kill* in ``exit`` mode — 128 + SIGKILL,
 #: what a shell reports for a process killed with ``kill -9``.
@@ -149,10 +109,17 @@ class ChaosInjector:
 
         Unpoliced sites cost a dict miss and consume nothing, so a
         spec that enables one site leaves every other site's stream —
-        and behaviour — untouched.
+        and behaviour — untouched.  A site missing from
+        :data:`CRASH_POINTS` is a :class:`ConfigurationError`: a hook
+        naming an unregistered point fails the first time chaos runs
+        over it.
         """
         policy = self._policies.get(site)
         if policy is None:
+            if site not in CRASH_POINTS:
+                raise ConfigurationError(
+                    f"chaos hook names unregistered crash point {site!r}; "
+                    f"known: {list(CRASH_POINTS)}")
             return None
         index = self.evaluations[site]
         self.evaluations[site] = index + 1

@@ -565,7 +565,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             baseline_path=args.baseline,
             no_baseline=args.no_baseline,
             output_format="json" if args.json else "text",
-            docs=args.docs,
             prune_baseline=args.prune_baseline,
         )
 
@@ -732,7 +731,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "entries; exit 1 when anything was pruned")
     p_crash = ana_sub.add_parser(
         "crash", help="run the crash-consistency analyzer "
-                      "(CC001..CC009)")
+                      "(CC001, CC007, CC009)")
     p_crash.add_argument("paths", nargs="*",
                          help="files/directories to scan (default: "
                               "the installed repro package)")
@@ -745,10 +744,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "nothing")
     p_crash.add_argument("--json", action="store_true",
                          help="canonical-JSON report on stdout")
-    p_crash.add_argument("--docs", metavar="FILE",
-                         help="chaos catalogue docs to cross-check "
-                              "(default: docs/CHAOS.md discovered "
-                              "near the scan targets)")
     p_crash.add_argument("--prune-baseline", action="store_true",
                          help="rewrite the baseline dropping stale "
                               "entries; exit 1 when anything was "

@@ -46,20 +46,22 @@ from .metrics import (
     MetricsRegistry,
     get_metrics,
 )
-from .spool import TelemetrySpool, read_spool, spool_dir
 from .tracer import LAYERS, TraceSpan, Tracer, get_tracer, tracing
 
 #: Lazily imported (PEP 562): these submodules reach back into the
-#: instrumented packages (kernel, experiments, service), and the hooks
-#: there import ``repro.obs.tracer`` — eager imports here would be a
-#: cycle.
+#: instrumented packages (kernel, experiments, service, and the chaos
+#: hooks behind :mod:`repro.durable`), which import
+#: ``repro.obs.tracer`` — eager imports here would be a cycle.
 _LAZY = {
     "DEFAULT_SLO": "fleet",
     "FleetAggregator": "fleet",
     "NoiseAttribution": "attribution",
+    "TelemetrySpool": "spool",
     "TracedRun": "runtrace",
     "capture_node_slice": "runtrace",
     "load_slo": "fleet",
+    "read_spool": "spool",
+    "spool_dir": "spool",
     "trace_experiment": "runtrace",
 }
 

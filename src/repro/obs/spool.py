@@ -6,10 +6,10 @@ metric snapshots, trace segments, job-lifecycle events — evaporates
 when the worker exits (or is ``kill -9``'d by the chaos layer).  The
 spool fixes that the same way the journal fixed queue state: each
 worker appends canonical-JSONL records to its own file under
-``<service-root>/telemetry/<worker-id>.jsonl``, one ``os.write`` per
-record on an ``O_APPEND`` descriptor, fsync'd when ``durable=True`` —
-so a crash loses at most the final record, and what survives is
-exactly what the worker had acknowledged writing.
+``<service-root>/telemetry/<worker-id>.jsonl``, a
+:class:`~repro.durable.AppendLog` fsync'd when ``durable=True`` — so a
+crash loses at most the final record, and what survives is exactly
+what the worker had acknowledged writing.
 
 Differences from :class:`~repro.service.journal.Journal`, on purpose:
 
@@ -32,12 +32,11 @@ file in the service directory.
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 
+from ..durable import AppendLog
 from ..errors import ConfigurationError
-from .export import canonical_json
 
 __all__ = ["TelemetrySpool", "read_spool", "spool_dir"]
 
@@ -54,26 +53,6 @@ TELEMETRY_DIR = "telemetry"
 def spool_dir(root: "str | os.PathLike") -> pathlib.Path:
     """Where a service directory's telemetry spools live."""
     return pathlib.Path(root) / TELEMETRY_DIR
-
-
-def _torn_tail_bytes(fd: int) -> int:
-    """Bytes past the last newline (0 when the tail is healthy) —
-    the journal's torn-tail scan, inlined so the spool never depends
-    on the service layer it observes."""
-    size = os.fstat(fd).st_size
-    if size == 0 or os.pread(fd, 1, size - 1) == b"\n":
-        return 0
-    torn = 0
-    pos = size
-    while pos > 0:
-        step = min(4096, pos)
-        chunk = os.pread(fd, step, pos - step)
-        cut = chunk.rfind(b"\n")
-        if cut >= 0:
-            return torn + (len(chunk) - cut - 1)
-        torn += len(chunk)
-        pos -= step
-    return torn
 
 
 class TelemetrySpool:
@@ -93,11 +72,12 @@ class TelemetrySpool:
             raise ConfigurationError("a telemetry spool needs a source id")
         self.path = pathlib.Path(path)
         self.source = source
-        self.durable = durable
         #: Per-spool logical clock: the deterministic record order the
         #: fleet aggregator merges on.  Never wall time.
         self.lc = 0
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._log = AppendLog(self.path, site="telemetry.append",
+                              durable=durable, heal=True)
 
     # -- recording -----------------------------------------------------
 
@@ -112,7 +92,7 @@ class TelemetrySpool:
         record.update({"kind": kind, "lc": self.lc, "name": name,
                        "source": self.source})
         self.lc += 1
-        self._append(record)
+        self._log.append(record)
         return record
 
     def event(self, name: str, job: str = "", **fields: object) -> dict:
@@ -131,31 +111,6 @@ class TelemetrySpool:
         """A point-in-time snapshot of the worker's counters."""
         return self.emit("metrics", "snapshot", **snapshot)
 
-    # -- the append ----------------------------------------------------
-
-    def _append(self, record: dict) -> None:
-        from ..chaos.hooks import get_chaos
-
-        data = (canonical_json(record) + "\n").encode("utf-8")
-        fd = os.open(self.path, os.O_APPEND | os.O_CREAT | os.O_RDWR,
-                     0o644)
-        try:
-            torn = _torn_tail_bytes(fd)
-            if torn:
-                # Single writer: the fragment is our own prior crash.
-                # Truncate it so the new record starts on a line
-                # boundary (fsck quarantines fragments it finds first).
-                os.ftruncate(fd, os.fstat(fd).st_size - torn)
-            cz = get_chaos()
-            if cz is None:
-                os.write(fd, data)
-            else:
-                cz.write(fd, data, "telemetry.append")
-            if self.durable:
-                os.fsync(fd)
-        finally:
-            os.close(fd)
-
 
 def read_spool(path: "str | os.PathLike"
                ) -> "tuple[list[dict], dict]":
@@ -163,35 +118,10 @@ def read_spool(path: "str | os.PathLike"
 
     Returns ``(records, problems)`` where ``problems`` is
     ``{"torn_tail": bool, "corrupt_lines": int}``.  A missing file is
-    an empty spool.  An unparseable *final* line is a crash-truncated
-    append (``torn_tail``); unparseable interior lines are counted and
+    an empty spool.  An unterminated final segment is a crash-truncated
+    append (``torn_tail``); unparseable complete lines are counted and
     skipped — telemetry reads are best-effort, the journal stays the
     source of truth.
     """
-    problems = {"torn_tail": False, "corrupt_lines": 0}
-    try:
-        text = pathlib.Path(path).read_text(encoding="utf-8")
-    except OSError:
-        return [], problems
-    out: list[dict] = []
-    lines = text.split("\n")
-    for i, line in enumerate(lines):
-        if not line:
-            continue
-        final = i == len(lines) - 1
-        try:
-            record = json.loads(line)
-        except ValueError:
-            if final:
-                problems["torn_tail"] = True
-            else:
-                problems["corrupt_lines"] += 1
-            continue
-        if not isinstance(record, dict):
-            if final:
-                problems["torn_tail"] = True
-            else:
-                problems["corrupt_lines"] += 1
-            continue
-        out.append(record)
-    return out, problems
+    records, damaged, torn = AppendLog(path).read()
+    return records, {"torn_tail": torn, "corrupt_lines": len(damaged)}

@@ -6,8 +6,9 @@ Two tiers under one interface:
   process (e.g. ``run_all`` regenerating figures that share cells) hit
   it for free;
 * **disk** — one JSON file per key under the cache directory, written
-  atomically (temp file + rename), so repeated *invocations* of the
-  benchmark/figure harness skip resimulation entirely.
+  atomically (:func:`~repro.durable.atomic_publish`), so repeated
+  *invocations* of the benchmark/figure harness skip resimulation
+  entirely.
 
 The cache directory resolves to ``$REPRO_CACHE_DIR`` when set, else
 ``~/.cache/repro-runs``.  JSON float serialization uses ``repr``
@@ -33,12 +34,11 @@ import json
 import logging
 import os
 import pathlib
-import tempfile
 import time
 from typing import TYPE_CHECKING, Optional
 
 from ..analysis.race import get_race_detector
-from ..chaos.hooks import get_chaos
+from ..durable import atomic_publish, quarantine
 from ..errors import CacheCorruptionError, ConfigurationError
 
 logger = logging.getLogger(__name__)
@@ -103,8 +103,7 @@ class RunCache:
     standard location honouring ``$REPRO_CACHE_DIR``.
 
     ``durable=False`` skips the fsync before the atomic publish —
-    an escape hatch for throwaway test caches; the durable default is
-    what the crash-consistency gate (CC002) checks.
+    an escape hatch for throwaway test caches.
     """
 
     def __init__(self, directory: str | os.PathLike | None = None,
@@ -137,15 +136,8 @@ class RunCache:
         the bytes) and log a warning.  Best-effort: a failed move must
         not turn a cache miss into a sweep failure."""
         assert self.directory is not None
-        qdir = self.directory / QUARANTINE_DIR
-        target = qdir / path.name
         try:
-            qdir.mkdir(parents=True, exist_ok=True)
-            n = 0
-            while target.exists():
-                n += 1
-                target = qdir / f"{path.stem}.{n}{path.suffix}"
-            os.replace(path, target)
+            target = quarantine(path, self.directory / QUARANTINE_DIR)
         except OSError:
             logger.warning("run cache: could not quarantine corrupt "
                            "entry %s (%s)", path.name, reason)
@@ -221,33 +213,11 @@ class RunCache:
         # Storage payload, not a digest input: the entry's identity is
         # its file name (the spec hash), so key order here is free.
         payload = json.dumps(entry)
-        data = payload.encode("utf-8")
-        # Atomic publish: never expose a half-written entry.  A crash
-        # mid-write (chaos or real) leaves only a stray ``*.tmp`` —
-        # never a corrupt ``*.json`` — and an injected I/O error is a
-        # silent skip: the cache degrades, correctness is unaffected.
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            try:
-                cz = get_chaos()
-                if cz is None:
-                    os.write(fd, data)
-                else:
-                    cz.write(fd, data, "cache.put")
-                # The rename is only atomic for bytes that reached the
-                # disk: without the fsync a power cut shortly *after*
-                # os.replace can leave the entry published but empty
-                # or torn (CC002).
-                if self.durable:
-                    os.fsync(fd)
-            finally:
-                os.close(fd)
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+        # A crash mid-write (chaos or real) leaves only a stray
+        # ``*.tmp`` — never a corrupt ``*.json`` — and an I/O error is
+        # a silent skip: the cache degrades, correctness is unaffected.
+        atomic_publish(path, payload.encode("utf-8"), site="cache.put",
+                       durable=self.durable)
 
     def __contains__(self, key: str) -> bool:
         return self.get(key) is not None

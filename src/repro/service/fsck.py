@@ -62,18 +62,17 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-import shutil
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..durable import AppendLog, quarantine, quarantine_path
 from ..errors import JournalCorruptionError, ReproError
 from ..faults.tolerance import RetryPolicy
 from ..obs.export import canonical_json
 from ..obs.metrics import get_metrics
-from ..obs.spool import read_spool, spool_dir
+from ..obs.spool import spool_dir
 from ..perf.fingerprint import spec_key
 from .jobs import JobSpec
-from .journal import Journal
 from .queue import TERMINAL, JobQueue, JobState
 
 __all__ = ["ServiceFsck", "report_json", "verify_service"]
@@ -152,16 +151,9 @@ class ServiceFsck:
 
     def _check_journal_tail(self) -> None:
         journal = self.queue.journal
-        try:
-            fd = os.open(journal.path, os.O_RDONLY)
-        except OSError:
-            return  # no journal yet: an empty service dir is clean
-        try:
-            torn = journal.torn_tail_bytes(fd)
-        finally:
-            os.close(fd)
+        torn = journal.log.torn_tail()
         if torn == 0:
-            return
+            return  # healthy, or no journal yet (an empty dir is clean)
         finding = self._found(
             "journal-torn-tail",
             f"journal ends mid-line ({torn} torn bytes — crash "
@@ -170,7 +162,7 @@ class ServiceFsck:
             repair="truncate the fragment; quarantine its bytes")
         if not self.repair:
             return
-        fragment = journal.heal_torn_tail()
+        fragment = journal.log.heal_torn_tail()
         self._write_quarantine("journal.tail", fragment)
         finding.repaired = True
 
@@ -402,14 +394,8 @@ class ServiceFsck:
             return
         for path in sorted(tdir.glob("*.jsonl")):
             self.checked["telemetry_spools"] += 1
-            try:
-                fd = os.open(path, os.O_RDONLY)
-            except OSError:
-                continue
-            try:
-                torn = Journal.torn_tail_bytes(fd)
-            finally:
-                os.close(fd)
+            spool = AppendLog(path, durable=self.queue.durable)
+            torn = spool.torn_tail()
             if torn:
                 finding = self._found(
                     "telemetry-torn-tail",
@@ -418,18 +404,15 @@ class ServiceFsck:
                     path=self._rel(path), repairable=True,
                     repair="truncate the fragment; quarantine its bytes")
                 if self.repair:
-                    fragment = Journal(
-                        path, durable=self.queue.durable).heal_torn_tail()
+                    fragment = spool.heal_torn_tail()
                     self._write_quarantine(
                         f"telemetry/{path.name}.tail", fragment)
                     finding.repaired = True
-                else:
-                    continue  # unread tail would also count as corrupt
-            _, problems = read_spool(path)
-            if problems["corrupt_lines"]:
+            _, damaged, _ = spool.read()
+            if damaged:
                 finding = self._found(
                     "telemetry-corrupt",
-                    f"{problems['corrupt_lines']} interior line(s) "
+                    f"{len(damaged)} interior line(s) "
                     "unparseable — the spool cannot be trusted",
                     path=self._rel(path), repairable=True,
                     repair="quarantine the spool")
@@ -455,28 +438,16 @@ class ServiceFsck:
         except ValueError:
             return str(path)
 
-    def _quarantine_target(self, rel: pathlib.PurePath) -> pathlib.Path:
-        qdir = self.queue.root / QUARANTINE_DIR / rel.parent
-        qdir.mkdir(parents=True, exist_ok=True)
-        target = qdir / rel.name
-        n = 0
-        while target.exists():
-            n += 1
-            target = qdir / f"{rel.name}.{n}"
-        return target
-
     def _quarantine(self, path: pathlib.Path) -> None:
         """Move evidence under ``quarantine/`` (sub-tree preserved,
         numeric suffix on collision); never delete."""
-        rel = pathlib.PurePath(self._rel(path))
-        target = self._quarantine_target(rel)
-        shutil.move(str(path), str(target))
+        quarantine(path, self.queue.root / QUARANTINE_DIR, self._rel(path))
         get_metrics().counter("service.fsck.repairs").inc()
 
     def _write_quarantine(self, name: str, data: bytes) -> None:
         """Quarantine loose bytes (the healed journal fragment)."""
-        target = self._quarantine_target(pathlib.PurePath(name))
-        target.write_bytes(data)
+        quarantine_path(self.queue.root / QUARANTINE_DIR,
+                        name).write_bytes(data)
         get_metrics().counter("service.fsck.repairs").inc()
 
     def _report(self, root: pathlib.Path) -> dict:

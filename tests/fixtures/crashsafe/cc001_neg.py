@@ -1,29 +1,24 @@
-"""CC001 non-firing: all three sanctioned durability idioms."""
+"""CC001 non-firing: durable writes go through repro.durable; plain
+reads, closes and unlinks are not durability syscalls."""
 import os
-import tempfile
+
+from repro.durable import AppendLog, atomic_publish, exclusive_create
 
 
-def append_record(path, data):
-    fd = os.open(path, os.O_APPEND | os.O_CREAT | os.O_WRONLY)
-    try:
-        os.write(fd, data)
-    finally:
-        os.close(fd)
+def append_record(path, record):
+    AppendLog(path).append(record)
 
 
 def create_claim(path, data):
-    fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    try:
-        os.write(fd, data)
-    finally:
-        os.close(fd)
+    return exclusive_create(path, data)
 
 
-def publish(directory, path, data):
-    fd, tmp = tempfile.mkstemp(dir=directory)
-    try:
-        os.write(fd, data)
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-    os.replace(tmp, path)
+def publish(path, data):
+    return atomic_publish(path, data)
+
+
+def read_and_drop(path):
+    with open(path, "rb") as fh:
+        data = fh.read()
+    os.unlink(path)
+    return data

@@ -239,7 +239,10 @@ def _journal_with_two_records(tmp_path):
 def test_torn_final_record_at_every_byte_offset(tmp_path):
     """Truncate a valid journal at *every* byte offset inside the
     final record: replay must yield exactly the intact prefix — a
-    torn tail is tolerated, never misread into a wrong table."""
+    torn tail is tolerated, never misread into a wrong table.  That
+    includes the cut just before the final newline, which leaves a
+    complete but unterminated record: readers, the append guard and
+    fsck must all agree it is torn."""
     journal = _journal_with_two_records(tmp_path)
     data = journal.path.read_bytes()
     first_len = data.index(b"\n") + 1
@@ -249,33 +252,35 @@ def test_torn_final_record_at_every_byte_offset(tmp_path):
         torn = tmp_path / f"torn-{cut}.jsonl"
         torn.write_bytes(data[:cut])
         torn_journal = Journal(torn, durable=False)
-        if cut == len(data) - 1 or cut == first_len:
-            # Degenerate cuts: the tail is empty-or-newline-less in a
-            # way that still parses to the prefix (cut == first_len)
-            # or drops only the final newline (a complete final
-            # record).  Both must still replay without error.
-            pass
-        records = torn_journal.records()
-        if cut < len(data) - 1:
-            assert records == intact, f"cut at byte {cut}"
-        else:
-            assert records[0] == intact[0]
+        assert torn_journal.records() == intact, f"cut at byte {cut}"
         # The append guard refuses exactly when bytes trail the last
         # newline, and healing restores appendability.
-        fd = os.open(torn, os.O_RDONLY)
-        try:
-            torn_bytes = Journal.torn_tail_bytes(fd)
-        finally:
-            os.close(fd)
-        assert torn_bytes == (cut - first_len if cut != len(data) else 0)
+        torn_bytes = torn_journal.log.torn_tail()
+        assert torn_bytes == cut - first_len
         if torn_bytes:
             with pytest.raises(JournalCorruptionError):
                 torn_journal.append({"type": "noop", "job": "x"})
-            fragment = torn_journal.heal_torn_tail()
+            fragment = torn_journal.log.heal_torn_tail()
             assert fragment == data[first_len:cut]
+        assert torn_journal.records() == intact
         torn_journal.append({"type": "submit", "job": "j000001-bbbbbbbbbb",
                              "kind": "run"})
         assert torn_journal.records()[-1]["job"] == "j000001-bbbbbbbbbb"
+
+
+def test_record_torn_before_its_newline_survives_no_repair(tmp_path):
+    """A ``done`` torn exactly before its newline was never
+    acknowledged: the table must not report it, so a repair that
+    drops it cannot make a reported state vanish."""
+    queue = _queue(tmp_path)
+    job_id = queue.submit(JobSpec.for_experiment("eq1"))
+    with queue.journal.path.open("ab") as fh:
+        fh.write(b'{"job":"' + job_id.encode() + b'","type":"done"}')
+    before = queue.job(job_id).state
+    assert before is JobState.QUEUED
+    report = verify_service(queue.root, repair=True)
+    assert _checks(report) == ["journal-torn-tail"]
+    assert queue.job(job_id).state is before
 
 
 def test_interior_corruption_still_raises(tmp_path):

@@ -84,6 +84,20 @@ def test_spool_read_tolerates_torn_tail_and_counts_interior_damage(
         ([], {"torn_tail": False, "corrupt_lines": 0})
 
 
+def test_spool_record_torn_before_its_newline_reads_as_torn(tmp_path):
+    """A write cut exactly before its newline leaves a complete but
+    unacknowledged record: the reader must call it torn, exactly as
+    fsck does, and not fold it."""
+    path = tmp_path / "w0.jsonl"
+    spool = TelemetrySpool(path, source="w0", durable=False)
+    spool.event("a")
+    spool.event("b")
+    path.write_bytes(path.read_bytes()[:-1])
+    records, problems = read_spool(path)
+    assert [r["name"] for r in records] == ["a"]
+    assert problems == {"torn_tail": True, "corrupt_lines": 0}
+
+
 def test_spool_single_writer_self_heals_its_torn_tail(tmp_path):
     path = tmp_path / "w0.jsonl"
     spool = TelemetrySpool(path, source="w0", durable=False)

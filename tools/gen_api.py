@@ -22,6 +22,7 @@ PACKAGES = [
     "repro.experiments",
     "repro.engine",
     "repro.service",
+    "repro.durable",
     "repro.chaos",
     "repro.perf",
     "repro.obs",
@@ -169,10 +170,13 @@ front doors for free.
 All queue state is an append-only canonical-JSONL journal plus
 `O_CREAT|O_EXCL` claim files — atomic claims, clock-free heartbeat
 leases, atomic result publication — under `$REPRO_SERVICE_DIR`
-(default `~/.local/state/repro-service`).  Workers share the queue's
-content-addressed run cache, so artifacts are byte-identical to the
-serial `repro experiment`/`repro export` path for any worker count,
-including after `kill -9` and lease re-claims.  See
+(default `~/.local/state/repro-service`).  Every one of those writes
+goes through the primitives in `repro.durable`, the only module
+`repro analyze crash` lets issue raw durability syscalls.  Workers
+share the queue's content-addressed run cache, so artifacts are
+byte-identical to the serial `repro experiment`/`repro export` path
+for any worker count, including after `kill -9` and lease re-claims.
+See
 `docs/SERVICE.md` for the state machine, the lease algebra, and a
 crash-recovery walkthrough.
 
