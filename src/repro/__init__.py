@@ -36,7 +36,7 @@ from . import (
     runtime,
     sim,
 )
-from .engine import EngineOptions, ExecutionEngine
+from .engine import ExecutionEngine
 from .errors import (
     CacheCorruptionError,
     CgroupLimitExceeded,
@@ -113,7 +113,6 @@ __all__ = [
     "sim",
     "quick_compare",
     "ExecutionEngine",
-    "EngineOptions",
     "ReproError",
     "ConfigurationError",
     "ResourceError",

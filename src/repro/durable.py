@@ -190,26 +190,28 @@ class AppendLog:
 
         ``records`` are the intact records in append order.
         ``damaged`` has one ``"<line>: <reason>"`` per newline-terminated
-        line that is not a JSON object.  ``torn`` says the file ends in
-        an unterminated segment.  Only terminated lines are records:
-        the bytes after the last newline were never acknowledged, even
-        when a write torn just before its ``\\n`` left them parseable,
-        so readers agree with :meth:`torn_tail` and
-        :meth:`heal_torn_tail`.  A missing file is an empty log.
+        line that is not a UTF-8 JSON object.  ``torn`` says the file
+        ends in an unterminated segment.  Only terminated lines are
+        records: the bytes after the last newline were never
+        acknowledged, even when a write torn just before its ``\\n``
+        left them parseable, so readers agree with :meth:`torn_tail`
+        and :meth:`heal_torn_tail`.  A missing file is an empty log.
         """
         try:
-            text = self.path.read_text(encoding="utf-8")
+            data = self.path.read_bytes()
         except OSError:
             return [], [], False
-        lines = text.split("\n")
-        torn = lines.pop() != ""
+        lines = data.split(b"\n")
+        torn = lines.pop() != b""
         records: list[dict] = []
         damaged: list[str] = []
         for i, line in enumerate(lines):
             if not line:
                 continue
             try:
-                record = json.loads(line)
+                # UnicodeDecodeError is a ValueError: a line that is
+                # not UTF-8 is damaged like one that is not JSON.
+                record = json.loads(line.decode("utf-8"))
             except ValueError as exc:
                 damaged.append(f"{i + 1}: unparseable line ({exc})")
                 continue

@@ -32,42 +32,16 @@ from __future__ import annotations
 
 import pathlib
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional, Sequence
 
-from .perf.context import PerfContext, get_context, perf_context
+from .perf.context import PerfContext, get_context, install
 
 if TYPE_CHECKING:
     from .experiments.report import ExperimentResult
-    from .obs.metrics import MetricsRegistry
-    from .perf.cache import RunCache
     from .platform.spec import PlatformSpec, RunSpec
     from .runtime.runner import RunResult
 
-__all__ = ["EngineOptions", "ExecutionEngine"]
-
-
-@dataclass(frozen=True)
-class EngineOptions:
-    """Execution knobs an engine session installs (mirrors
-    :class:`~repro.perf.context.PerfContext`; every field only affects
-    *how* cells run — fan-out, memoization, instrumentation — never
-    what they compute)."""
-
-    #: Worker processes for cell fan-out; 1 = serial.
-    jobs: int = 1
-    #: Memoization cache for RunResults; None disables caching.
-    cache: Optional["RunCache"] = None
-    #: Metrics sink; None falls back to the global registry.
-    counters: Optional["MetricsRegistry"] = None
-    #: Wall-clock budget per cell in the parallel path, seconds.
-    cell_timeout: Optional[float] = None
-    #: Pool dispatch attempts before degrading to serial.
-    max_retries: int = 2
-    #: Variance-adaptive Monte-Carlo stopping target (off by default).
-    target_ci: Optional[float] = None
-    #: Hard trial ceiling per cell when ``target_ci`` is active.
-    max_adaptive_runs: int = 64
+__all__ = ["ExecutionEngine"]
 
 
 class ExecutionEngine:
@@ -81,15 +55,15 @@ class ExecutionEngine:
     additionally shares the warm worker pool across them.
     """
 
-    def __init__(self, options: Optional[EngineOptions] = None) -> None:
+    def __init__(self, options: Optional[PerfContext] = None) -> None:
         self.options = options
         self._depth = 0
 
     @classmethod
-    def from_options(cls, **kwargs: object) -> "ExecutionEngine":
+    def from_options(cls, **knobs: Any) -> "ExecutionEngine":
         """Engine with its own execution context (see
-        :class:`EngineOptions` for the accepted knobs)."""
-        return cls(EngineOptions(**kwargs))  # type: ignore[arg-type]
+        :class:`~repro.perf.context.PerfContext` for the knobs)."""
+        return cls(PerfContext(**knobs))
 
     # -- context ------------------------------------------------------
 
@@ -107,13 +81,7 @@ class ExecutionEngine:
             return
         self._depth += 1
         try:
-            o = self.options
-            with perf_context(jobs=o.jobs, cache=o.cache,
-                              counters=o.counters,
-                              cell_timeout=o.cell_timeout,
-                              max_retries=o.max_retries,
-                              target_ci=o.target_ci,
-                              max_adaptive_runs=o.max_adaptive_runs) as ctx:
+            with install(self.options) as ctx:
                 yield ctx
         finally:
             self._depth -= 1

@@ -21,8 +21,6 @@ def sweep_apps(
     node_counts: list[int],
     n_runs: int,
     seed: int,
-    jobs: int | None = None,
-    cache=None,
 ) -> dict[str, list[Comparison]]:
     """Linux-vs-McKernel comparisons for every (app, node count).
 
@@ -33,8 +31,7 @@ def sweep_apps(
     reassembled in (app, node count) order, bit-identical to a serial
     sweep.
     """
-    return sweep_platform_apps(platform, apps, node_counts, n_runs,
-                               seed, jobs=jobs, cache=cache)
+    return sweep_platform_apps(platform, apps, node_counts, n_runs, seed)
 
 
 def figure_result(

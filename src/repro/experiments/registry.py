@@ -47,47 +47,30 @@ EXPERIMENTS: dict[str, tuple[str, Callable[..., ExperimentResult]]] = {
 
 
 def run_experiment(experiment_id: str, fast: bool = True, seed: int = 0,
-                   jobs: int = 1, cache=None,
                    platform=None) -> ExperimentResult:
     """Run one registered experiment by id.
 
-    ``jobs > 1`` fans the experiment's sweep cells out over worker
-    processes; ``cache`` (a :class:`repro.perf.RunCache`) memoizes the
-    underlying RunResults.  Both leave the output bit-identical to the
-    serial, uncached run.  Defaults inherit any ambient
-    :func:`repro.perf.perf_context` (so ``run_all(jobs=4)`` composes).
+    Fan-out and memoization come from the ambient
+    :func:`repro.perf.perf_context`; the output is bit-identical to
+    the serial, uncached run either way.
 
     ``platform`` (a :class:`repro.platform.PlatformSpec`) re-targets
     the experiment at another platform; only experiments whose runner
     is platform-parameterised accept it.
     """
-    engine = _engine_for(jobs, cache)
-    return engine.run_experiment(experiment_id, fast=fast, seed=seed,
-                                 platform=platform)
+    from ..engine import ExecutionEngine
+
+    return ExecutionEngine().run_experiment(experiment_id, fast=fast,
+                                            seed=seed, platform=platform)
 
 
-def run_all(fast: bool = True, seed: int = 0, jobs: int = 1,
-            cache=None) -> dict[str, ExperimentResult]:
+def run_all(fast: bool = True, seed: int = 0) -> dict[str, ExperimentResult]:
     """Run every experiment, in registry order.
 
-    With ``jobs=N`` a single worker pool is shared by all experiments'
-    sweeps (fork cost is paid once); ``cache`` deduplicates cells
-    repeated across artefacts and invocations.
+    Runs under the ambient context, so a fanned-out context shares one
+    worker pool across every experiment's sweeps.
     """
     from ..engine import ExecutionEngine
 
-    engine = ExecutionEngine.from_options(jobs=jobs, cache=cache)
-    return engine.run_experiments(EXPERIMENTS, fast=fast, seed=seed)
-
-
-def _engine_for(jobs: int, cache):
-    """The explicit-knob compatibility shim: default arguments keep
-    inheriting the ambient context (so ``run_all(jobs=4)`` composes
-    with nested ``run_experiment`` calls exactly as before the
-    :class:`~repro.engine.ExecutionEngine` extraction), while any
-    explicit knob gets its own engine session."""
-    from ..engine import ExecutionEngine
-
-    if jobs != 1 or cache is not None:
-        return ExecutionEngine.from_options(jobs=jobs, cache=cache)
-    return ExecutionEngine()
+    return ExecutionEngine().run_experiments(EXPERIMENTS, fast=fast,
+                                             seed=seed)

@@ -9,7 +9,7 @@ to the whole simulated system:
   :class:`Tracer` (named layers, bounded ring, deterministic
   simulated-time stamps, zero overhead when disabled);
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry`, labeled
-  counters/gauges/histograms superseding ``repro.perf.counters``;
+  counters/gauges/histograms;
 * :mod:`repro.obs.export` — byte-deterministic Chrome/Perfetto
   ``trace.json``, JSONL, and Prometheus exposition writers;
 * :mod:`repro.obs.attribution` — :class:`NoiseAttribution`, the ranked

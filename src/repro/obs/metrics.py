@@ -1,10 +1,9 @@
 """Labeled metrics: counters, gauges and histograms.
 
-A :class:`MetricsRegistry` is the successor of
-:class:`repro.perf.counters.PerfCounters` (which is now a deprecated
-alias): it keeps the legacy flat-counter / wall-time-timer API that the
-executor and the ``--stats`` flag rely on, and adds **labeled series**
-(``registry.counter("runs", kernel="mckernel").inc()``) plus gauges and
+A :class:`MetricsRegistry` keeps the flat-counter / wall-time-timer
+API that the executor and the ``--stats`` flag rely on, and adds
+**labeled series** (``registry.counter("runs", kernel="mckernel").inc()``)
+plus gauges and
 fixed-bucket histograms, so one registry can answer the questions the
 gem5 standardization paper argues simulators must emit as
 machine-readable artifacts — per-kernel, per-node, per-experiment
@@ -21,7 +20,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from ..errors import ConfigurationError
 
@@ -113,11 +112,8 @@ class Histogram:
 class MetricsRegistry:
     """Registry of labeled counters/gauges/histograms.
 
-    Also implements the full legacy ``PerfCounters`` surface —
-    :meth:`add`, :meth:`timer`, :attr:`counts`, :attr:`timings`,
-    :meth:`hit_rate`, :meth:`report`, :meth:`snapshot` — so every
-    pre-existing call site and test keeps working against the
-    superseding type.
+    Also keeps the flat :meth:`add`/:meth:`timer` surface the executor
+    and ``--stats`` use.
     """
 
     def __init__(self) -> None:
@@ -151,7 +147,7 @@ class MetricsRegistry:
             h = self._histograms[key] = Histogram(key, buckets)
         return h
 
-    # -- legacy PerfCounters API --------------------------------------
+    # -- flat counters and timers -------------------------------------
 
     def add(self, name: str, n: int = 1) -> None:
         """Increment the (unlabeled) event counter ``name`` by ``n``."""
@@ -176,16 +172,6 @@ class MetricsRegistry:
             v = c.value
             out[_render_key(key)] = int(v) if v == int(v) else v
         return out
-
-    def reset(self) -> None:
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()
-        self.timings.clear()
-
-    def snapshot(self) -> dict:
-        """Plain-dict copy (counts, timings) for assertions/export."""
-        return {"counts": dict(self.counts), "timings": dict(self.timings)}
 
     def _counter_value(self, name: str) -> float:
         """Read an unlabeled counter without creating it."""

@@ -15,8 +15,7 @@ without perturbing a single simulated number:
   (``$REPRO_CACHE_DIR`` or ``~/.cache/repro-runs``);
 * :mod:`repro.obs.metrics` — wall-time / hit-rate / labeled-series
   instrumentation surfaced by ``repro experiments --stats`` and
-  ``repro metrics`` (:mod:`repro.perf.counters` is the deprecated
-  compatibility shim).
+  ``repro metrics``.
 
 :mod:`repro.perf.context` ties them together: ``perf_context(jobs=4,
 cache=...)`` makes every sweep inside the block fan out and memoize.
@@ -27,21 +26,18 @@ from __future__ import annotations
 from ..obs.metrics import MetricsRegistry
 from .cache import RunCache, default_cache_dir
 from .context import PerfContext, get_context, perf_context
-from .counters import PerfCounters, get_counters
 from .executor import RunCell, execute_cells
 from .fingerprint import fingerprint, run_key, spec_key
 
 __all__ = [
     "MetricsRegistry",
     "PerfContext",
-    "PerfCounters",
     "RunCache",
     "RunCell",
     "default_cache_dir",
     "execute_cells",
     "fingerprint",
     "get_context",
-    "get_counters",
     "perf_context",
     "run_key",
     "spec_key",

@@ -2,24 +2,26 @@
 
 Threading ``jobs=``/``cache=`` through every experiment entry point
 would force a signature change on each of the 13 registered
-experiments.  Instead the registry installs a :class:`PerfContext` and
-the sweep layers (:func:`repro.runtime.runner.compare`,
-:func:`repro.experiments.appfigs.sweep_apps`) consult it whenever the
-caller passes ``None``:
+experiments.  Instead a caller installs a :class:`PerfContext` and the
+sweep layers (:func:`repro.runtime.runner.compare`,
+:func:`repro.experiments.appfigs.sweep_apps`, everything that reaches
+:func:`repro.perf.execute_cells`) read it:
 
     with perf_context(jobs=4, cache=RunCache(tmp)):
         run_experiment("fig5", fast=False)   # fans out, memoizes
 
-The context also owns the shared :class:`ProcessPoolExecutor` so that
-consecutive fan-outs inside one block reuse warm workers instead of
-re-forking per sweep.
+:class:`PerfContext` is the one place the execution knobs are
+declared; :class:`repro.engine.ExecutionEngine` installs the same
+object.  Each installation also owns a lazily created
+:class:`ProcessPoolExecutor`, so consecutive fan-outs inside one block
+reuse warm workers instead of re-forking per sweep.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Iterator, Optional
 
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
@@ -29,8 +31,20 @@ if TYPE_CHECKING:
 
 
 @dataclass
+class _Pool:
+    """The worker pool of one installation, and whether it broke."""
+
+    executor: Optional["ProcessPoolExecutor"] = None
+    broken: bool = False
+
+
+@dataclass(frozen=True)
 class PerfContext:
-    """Execution knobs every sweep inside the scope inherits."""
+    """Execution knobs every sweep inside the scope inherits.
+
+    Every knob only affects *how* cells run — fan-out, memoization,
+    instrumentation — never what they compute.
+    """
 
     #: Worker processes for cell fan-out; 1 = serial.
     jobs: int = 1
@@ -53,34 +67,41 @@ class PerfContext:
     target_ci: Optional[float] = None
     #: Hard trial ceiling per cell when ``target_ci`` is active.
     max_adaptive_runs: int = 64
-    _pool: Optional["ProcessPoolExecutor"] = field(
-        default=None, repr=False, compare=False)
-    _pool_broken: bool = field(default=False, repr=False, compare=False)
+    _pool: _Pool = field(default_factory=_Pool, init=False, repr=False,
+                         compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "jobs", max(1, int(self.jobs)))
+        object.__setattr__(self, "max_retries", max(0, int(self.max_retries)))
+        object.__setattr__(self, "max_adaptive_runs",
+                           max(1, int(self.max_adaptive_runs)))
 
     def pool(self) -> Optional["ProcessPoolExecutor"]:
         """The shared worker pool (created lazily), or None when the
-        context is serial or pool creation failed earlier."""
-        if self.jobs <= 1 or self._pool_broken:
+        context is serial or the pool broke earlier in this scope."""
+        held = self._pool
+        if self.jobs <= 1 or held.broken:
             return None
-        if self._pool is None:
+        if held.executor is None:
             from concurrent.futures import ProcessPoolExecutor
 
             try:
-                self._pool = ProcessPoolExecutor(max_workers=self.jobs)
+                held.executor = ProcessPoolExecutor(max_workers=self.jobs)
             except (OSError, ValueError):
-                self._pool_broken = True
-                return None
-        return self._pool
+                held.broken = True
+        return held.executor
 
     def mark_pool_broken(self) -> None:
-        """Record a pool failure; subsequent sweeps run serially."""
-        self.shutdown()
-        self._pool_broken = True
+        """Record a pool failure; later sweeps in this scope run
+        serially."""
+        self._shutdown()
+        self._pool.broken = True
 
-    def shutdown(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
+    def _shutdown(self) -> None:
+        held = self._pool
+        if held.executor is not None:
+            held.executor.shutdown(wait=True, cancel_futures=True)
+            held.executor = None
 
 
 #: Stack of installed contexts; the default (serial, uncached) base is
@@ -94,24 +115,25 @@ def get_context() -> PerfContext:
 
 
 @contextmanager
-def perf_context(
-    jobs: int = 1,
-    cache: Optional["RunCache"] = None,
-    counters: Optional["MetricsRegistry"] = None,
-    cell_timeout: Optional[float] = None,
-    max_retries: int = 2,
-    target_ci: Optional[float] = None,
-    max_adaptive_runs: int = 64,
-) -> Iterator[PerfContext]:
-    """Install a :class:`PerfContext` for the duration of the block."""
-    ctx = PerfContext(jobs=max(1, int(jobs)), cache=cache, counters=counters,
-                      cell_timeout=cell_timeout,
-                      max_retries=max(0, int(max_retries)),
-                      target_ci=target_ci,
-                      max_adaptive_runs=max(1, int(max_adaptive_runs)))
+def install(ctx: PerfContext) -> Iterator[PerfContext]:
+    """Make ``ctx`` the ambient context for the block.
+
+    Leaving the outermost installation of ``ctx`` shuts its pool down
+    and forgets a breakage, so a pool broken in one scope never
+    degrades the next scope that installs the same object.
+    """
     _STACK.append(ctx)
     try:
         yield ctx
     finally:
         _STACK.pop()
-        ctx.shutdown()
+        if not any(c is ctx for c in _STACK):
+            ctx._shutdown()
+            ctx._pool.broken = False
+
+
+@contextmanager
+def perf_context(**knobs: Any) -> Iterator[PerfContext]:
+    """Install ``PerfContext(**knobs)`` for the duration of the block."""
+    with install(PerfContext(**knobs)) as ctx:
+        yield ctx

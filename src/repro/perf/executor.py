@@ -39,7 +39,7 @@ if TYPE_CHECKING:
     from ..kernel.base import OsInstance
     from ..platform.spec import RunSpec
     from ..runtime.runner import RunResult
-    from .cache import RunCache
+    from .context import PerfContext
 
 logger = logging.getLogger(__name__)
 
@@ -143,8 +143,7 @@ class _PartialPoolFailure(Exception):
 
 
 def _run_pool(pool: ProcessPoolExecutor, cells: Sequence[RunCell],
-              jobs: int, timeout: Optional[float] = None
-              ) -> list["RunResult"]:
+              jobs: int, timeout: Optional[float]) -> list["RunResult"]:
     """Fan ``cells`` out over ``pool``; results in submission order.
 
     One future per cell so a pool failure is attributable: when a
@@ -179,32 +178,18 @@ def _run_pool(pool: ProcessPoolExecutor, cells: Sequence[RunCell],
     return out
 
 
-def execute_cells(
-    cells: Sequence[RunCell],
-    jobs: Optional[int] = None,
-    cache: Optional["RunCache"] = None,
-    cell_timeout: Optional[float] = None,
-    max_retries: Optional[int] = None,
-) -> list["RunResult"]:
+def execute_cells(cells: Sequence[RunCell]) -> list["RunResult"]:
     """Execute ``cells``, returning results in cell order.
 
-    ``jobs``/``cache``/``cell_timeout``/``max_retries`` default to the
-    ambient :class:`PerfContext`.  Cache lookups and stores happen in
-    the parent process only, so workers stay pure compute and the disk
-    tier sees no write races.  ``cell_timeout`` bounds each cell's
-    parallel execution (seconds); a timed-out or pool-killed dispatch
+    Fan-out, memoization, per-cell timeout and retry budget come from
+    the ambient :class:`PerfContext`.  Cache lookups and stores happen
+    in the parent process only, so workers stay pure compute and the
+    disk tier sees no write races.  A timed-out or pool-killed dispatch
     retries only its unfinished cells, ``max_retries`` times, before
     degrading to the serial path.
     """
     ctx = get_context()
-    if jobs is None:
-        jobs = ctx.jobs
-    if cache is None:
-        cache = ctx.cache
-    if cell_timeout is None:
-        cell_timeout = ctx.cell_timeout
-    if max_retries is None:
-        max_retries = ctx.max_retries
+    cache = ctx.cache
     counters = get_metrics()
     counters.add("executor.cells", len(cells))
 
@@ -228,9 +213,7 @@ def execute_cells(
 
     todo = [cells[i] for i in pending]
     with counters.timer("executor.compute"):
-        computed = _dispatch(todo, jobs, ctx, counters,
-                             timeout=cell_timeout,
-                             max_retries=max_retries)
+        computed = _dispatch(todo, ctx, counters)
     for i, result in zip(pending, computed):
         results[i] = result
         if cache is not None:
@@ -255,9 +238,9 @@ def execute_cells(
     return results  # type: ignore[return-value]
 
 
-def _dispatch(cells: Sequence[RunCell], jobs: int, ctx, counters,
-              timeout: Optional[float] = None,
-              max_retries: int = 2) -> list["RunResult"]:
+def _dispatch(cells: Sequence[RunCell], ctx: "PerfContext",
+              counters) -> list["RunResult"]:
+    jobs, max_retries = ctx.jobs, ctx.max_retries
     if jobs <= 1 or len(cells) <= 1:
         counters.add("executor.serial_cells", len(cells))
         return _run_serial(cells)
@@ -267,19 +250,15 @@ def _dispatch(cells: Sequence[RunCell], jobs: int, ctx, counters,
     failures = 0
     while pending and failures <= max_retries:
         batch = [cells[i] for i in pending]
-        shared = (ctx.pool()
-                  if jobs == ctx.jobs and failures == 0 else None)
-        # Tests monkeypatch _run_pool with the historical 3-arg
-        # signature, so the timeout travels only when it is set.
-        extra = () if timeout is None else (timeout,)
+        shared = ctx.pool() if failures == 0 else None
         try:
             if shared is not None:
-                out = _run_pool(shared, batch, jobs, *extra)
+                out = _run_pool(shared, batch, jobs, ctx.cell_timeout)
             else:
                 with ProcessPoolExecutor(
                     max_workers=min(jobs, len(batch))
                 ) as pool:
-                    out = _run_pool(pool, batch, jobs, *extra)
+                    out = _run_pool(pool, batch, jobs, ctx.cell_timeout)
         except _PartialPoolFailure as failure:
             if shared is not None:
                 ctx.mark_pool_broken()

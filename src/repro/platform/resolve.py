@@ -14,7 +14,7 @@ every result by the SHA-256 of its RunSpec JSON.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ..hardware.machines import Machine
 from ..kernel.base import OsInstance
@@ -90,11 +90,7 @@ def clear_build_cache() -> int:
     return n
 
 
-def run_cells(
-    specs: Sequence[RunSpec],
-    jobs: Optional[int] = None,
-    cache=None,
-) -> "list[RunResult]":
+def run_cells(specs: Sequence[RunSpec]) -> "list[RunResult]":
     """Execute one RunSpec per cell through the perf executor.
 
     Results come back in spec order, bit-identical to a serial run;
@@ -111,7 +107,7 @@ def run_cells(
                              resolved.os_instance, spec.n_nodes,
                              spec.n_runs, spec.seed, spec=spec,
                              **adaptive))
-    return execute_cells(cells, jobs=jobs, cache=cache)
+    return execute_cells(cells)
 
 
 def _profile(app: str):
@@ -126,8 +122,6 @@ def compare_platforms(
     node_counts: Sequence[int],
     n_runs: int = 3,
     seed: int = 0,
-    jobs: Optional[int] = None,
-    cache=None,
 ) -> "list[Comparison]":
     """Linux-vs-McKernel comparison sweep, declaratively.
 
@@ -144,7 +138,7 @@ def compare_platforms(
         for os_spec in (linux_spec, mck_spec):
             specs.append(RunSpec(platform=os_spec, app=app, n_nodes=n,
                                  n_runs=n_runs, seed=seed))
-    results = run_cells(specs, jobs=jobs, cache=cache)
+    results = run_cells(specs)
     return [
         Comparison(n_nodes=n, linux=results[2 * i],
                    mckernel=results[2 * i + 1])
@@ -158,8 +152,6 @@ def sweep_platform_apps(
     node_counts: Sequence[int],
     n_runs: int,
     seed: int,
-    jobs: Optional[int] = None,
-    cache=None,
 ) -> "dict[str, list[Comparison]]":
     """The Figs. 5-7 grid: every (app, OS, node count) cell of one
     platform, flattened into a single executor fan-out."""
@@ -174,7 +166,7 @@ def sweep_platform_apps(
                 specs.append(RunSpec(platform=os_spec, app=app,
                                      n_nodes=n, n_runs=n_runs,
                                      seed=seed))
-    results = run_cells(specs, jobs=jobs, cache=cache)
+    results = run_cells(specs)
     out: dict[str, list[Comparison]] = {}
     flat = iter(results)
     for app in apps:

@@ -24,7 +24,7 @@ paper's numbers arise:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -468,8 +468,6 @@ def compare(
     node_counts: list[int],
     n_runs: int = 3,
     seed: int = 0,
-    jobs: int | None = None,
-    cache=None,
 ) -> list[Comparison]:
     """Run the Linux/McKernel pair across a node-count sweep.
 
@@ -479,10 +477,9 @@ def compare(
 
     Every (OS, n_nodes) cell derives its RNG streams purely from its
     own coordinates, so the sweep fans out over the
-    :mod:`repro.perf` executor: ``jobs``/``cache`` select parallelism
-    and run memoization (``None`` inherits the ambient
-    :func:`repro.perf.perf_context`), with results bit-identical to
-    the serial path.
+    :mod:`repro.perf` executor: the ambient
+    :func:`repro.perf.perf_context` selects parallelism and run
+    memoization, with results bit-identical to the serial path.
     """
     from ..perf.executor import RunCell, adaptive_fields, execute_cells
 
@@ -493,7 +490,7 @@ def compare(
                              **adaptive))
         cells.append(RunCell(machine, profile, mckernel, n, n_runs, seed,
                              **adaptive))
-    results = execute_cells(cells, jobs=jobs, cache=cache)
+    results = execute_cells(cells)
     return [
         Comparison(n_nodes=n, linux=results[2 * i],
                    mckernel=results[2 * i + 1])

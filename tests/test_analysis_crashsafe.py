@@ -123,7 +123,11 @@ def _unreached_points(tmp_path, monkeypatch):
 
 
 #: Retired rule -> (the run-time check that replaced it, how to break
-#: the property that check guards).
+#: the property that check guards).  The properties: CC002, every
+#: durable write is fsynced before it is published; CC003, every write
+#: site is in the crash-point catalogue; CC004, every crash point is
+#: reached through repro.durable; CC005, a torn write at any write site
+#: leaves torn bytes; CC008, no primitive leaks a descriptor.
 _RETIRED = {
     "CC002": (unsynced_writes,
               lambda m: m.setattr(durable, "os", _OsWithout("fsync"))),
@@ -179,12 +183,15 @@ def test_cc001_resolves_import_aliases():
 
 
 def test_cc004_fires_on_positive_fixture(tmp_path, monkeypatch):
+    """Disconnecting repro.durable from the injector leaves every write
+    site unreached."""
     # Every write site is a hook in repro.durable.
     assert set(_retired_hits("CC004", True, tmp_path, monkeypatch)) == \
         set(WRITE_SITES)
 
 
 def test_cc004_quiet_on_negative_fixture(tmp_path, monkeypatch):
+    """As shipped, every crash point is reached."""
     assert _retired_hits("CC004", False, tmp_path, monkeypatch) == []
 
 
@@ -199,6 +206,7 @@ def test_cc007_sees_through_repro_durable():
 
 def test_cfg_fsync_cut_dominates_replace_under_assumed_durable(
         tmp_path, monkeypatch):
+    """atomic_publish fsyncs before it replaces."""
     assert syscall_order(monkeypatch, lambda: durable.atomic_publish(
         tmp_path / "entry.json", b"data", durable=True)) == [
         "write", "fsync", "replace"]
@@ -206,6 +214,7 @@ def test_cfg_fsync_cut_dominates_replace_under_assumed_durable(
 
 def test_cfg_fsync_not_dominating_without_assumption(tmp_path,
                                                      monkeypatch):
+    """atomic_publish skips the fsync when not durable."""
     # durable=False (tests, the benchmark) skips every fsync.
     assert syscall_order(monkeypatch, lambda: durable.atomic_publish(
         tmp_path / "entry.json", b"data", durable=False)) == [
@@ -213,6 +222,8 @@ def test_cfg_fsync_not_dominating_without_assumption(tmp_path,
 
 
 def test_cfg_missing_fsync_detected(tmp_path, monkeypatch):
+    """Without fsync, every primitive that publishes a write is named
+    as unsynced."""
     monkeypatch.setattr(durable, "os", _OsWithout("fsync"))
     assert unsynced_writes(tmp_path, monkeypatch) == [
         "atomic_publish: replace", "AppendLog.append: return",
@@ -220,12 +231,14 @@ def test_cfg_missing_fsync_detected(tmp_path, monkeypatch):
 
 
 def test_cfg_finally_close_guards_every_path(tmp_path, monkeypatch):
+    """A failing read, pread, fstat or lseek leaks no descriptor."""
     # The failure paths test_durable.py leaves out: reads and seeks.
     assert leaked_descriptors(tmp_path, monkeypatch, failures=(
         "read", "pread", "fstat", "lseek")) == []
 
 
 def test_cfg_unprotected_close_leaks(tmp_path, monkeypatch):
+    """Without close, every primitive leaks under every failure."""
     monkeypatch.setattr(durable, "os", _OsWithout("close"))
     hits = leaked_descriptors(tmp_path, monkeypatch)
     # Every primitive under each failing syscall, every site under

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine import EngineOptions, ExecutionEngine
+from repro.engine import ExecutionEngine
 from repro.errors import ConfigurationError
 from repro.experiments import run_experiment
 from repro.obs.metrics import MetricsRegistry
-from repro.perf import RunCache, get_context, perf_context
+from repro.perf import PerfContext, RunCache, get_context, perf_context
 from repro.platform import RunSpec, get_platform, run_cells
 
 
@@ -101,6 +101,26 @@ def test_engine_export_matches_cli_export_bytes(tmp_path):
 
 
 def test_engine_options_are_frozen():
-    options = EngineOptions(jobs=2)
+    options = PerfContext(jobs=2)
     with pytest.raises(Exception):
         options.jobs = 4  # type: ignore[misc]
+
+
+def test_perf_context_normalises_knobs_once():
+    ctx = PerfContext(jobs=0, max_retries=-3, max_adaptive_runs=0)
+    assert (ctx.jobs, ctx.max_retries, ctx.max_adaptive_runs) == (1, 0, 1)
+
+
+def test_engine_session_installs_its_options_object():
+    engine = ExecutionEngine.from_options(jobs=2)
+    with engine.session() as ctx:
+        assert ctx is engine.options is get_context()
+
+
+def test_broken_pool_does_not_leak_into_the_next_session():
+    engine = ExecutionEngine.from_options(jobs=2)
+    with engine.session() as ctx:
+        ctx.mark_pool_broken()
+        assert ctx.pool() is None
+    with engine.session() as ctx:
+        assert ctx.pool() is not None

@@ -6,6 +6,7 @@ import pytest
 from repro.cli import main
 from repro.experiments import run_experiment
 from repro.experiments.registry import EXPERIMENTS
+from repro.perf import perf_context
 
 
 def test_registered():
@@ -32,8 +33,9 @@ def test_repeat_runs_identical():
 
 def test_jobs_value_does_not_change_output():
     """The experiment is pure in-process DES: --jobs must be a no-op."""
-    serial = run_experiment("faults", fast=True, seed=0, jobs=1)
-    parallel = run_experiment("faults", fast=True, seed=0, jobs=4)
+    serial = run_experiment("faults", fast=True, seed=0)
+    with perf_context(jobs=4):
+        parallel = run_experiment("faults", fast=True, seed=0)
     assert serial.render() == parallel.render()
     assert serial.data == parallel.data
 
@@ -77,7 +79,8 @@ def test_full_scale_projection_degrades():
 
 @pytest.mark.faultsmoke
 def test_full_scale_is_deterministic():
-    a = run_experiment("faults", fast=False, seed=0, jobs=1)
-    b = run_experiment("faults", fast=False, seed=0, jobs=4)
+    a = run_experiment("faults", fast=False, seed=0)
+    with perf_context(jobs=4):
+        b = run_experiment("faults", fast=False, seed=0)
     assert a.render() == b.render()
     assert a.data == b.data

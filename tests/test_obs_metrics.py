@@ -1,4 +1,4 @@
-"""repro.obs.metrics: labeled series plus the legacy PerfCounters API."""
+"""repro.obs.metrics: labeled series plus the flat add/timer API."""
 
 from __future__ import annotations
 
@@ -60,7 +60,7 @@ def test_default_buckets_cover_syscalls_to_job_walltimes():
     assert DEFAULT_BUCKETS[0] <= 1e-6 and DEFAULT_BUCKETS[-1] >= 1e4
 
 
-# -- the legacy PerfCounters surface ----------------------------------
+# -- the flat add/timer surface ---------------------------------------
 
 
 def test_legacy_add_counts_timer_and_snapshot():
@@ -72,14 +72,10 @@ def test_legacy_add_counts_timer_and_snapshot():
     assert m.counts["cache.hits"] == 3
     assert m.counts["cache.misses"] == 1
     assert m.hit_rate() == pytest.approx(0.75)
-    snap = m.snapshot()
-    assert snap["counts"]["cache.hits"] == 3
-    assert "compute" in snap["timings"]
+    assert "compute" in m.timings
     report = m.report()
     assert report.startswith("perf counters:")
     assert "cache.hit_rate" in report
-    m.reset()
-    assert m.counts == {} and m.timings == {}
 
 
 def test_hit_rate_does_not_create_series():
@@ -87,48 +83,6 @@ def test_hit_rate_does_not_create_series():
     assert m.hit_rate() == 0.0
     assert m.report() == "perf counters:\n  (nothing recorded)"
     assert m.counts == {}
-
-
-def test_old_imports_still_work_via_the_shim():
-    """Satellite (b): repro.perf.counters keeps working after the move."""
-    from repro.perf.counters import PerfCounters, get_counters
-
-    assert PerfCounters is MetricsRegistry
-    counters = PerfCounters()
-    counters.add("executor.cells", 2)
-    assert counters.counts["executor.cells"] == 2
-    with pytest.deprecated_call():
-        ambient = get_counters()
-    assert isinstance(ambient, MetricsRegistry)
-    # repro.perf re-exports both names too.
-    from repro.perf import PerfCounters as reexported
-
-    assert reexported is MetricsRegistry
-
-
-def test_get_counters_warns_exactly_once_per_call_site():
-    """The shim must warn on use — but only once, not once per call:
-    stacklevel=2 attributes the warning to the caller, and the default
-    filter dedups on (message, category, module, lineno)."""
-    import warnings
-
-    from repro.perf.counters import get_counters
-
-    def legacy_call_site():
-        return get_counters()
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.resetwarnings()
-        warnings.simplefilter("default")
-        legacy_call_site()
-        legacy_call_site()
-        legacy_call_site()
-    deprecations = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)
-                    and "get_counters" in str(w.message)]
-    assert len(deprecations) == 1
-    # And the warning points at the *caller*, not the shim internals.
-    assert deprecations[0].filename == __file__
 
 
 def test_get_metrics_prefers_the_ambient_context():

@@ -68,7 +68,7 @@ def test_fingerprint_rejects_undeterministic_objects():
 
 
 def test_result_roundtrip_is_exact(cell):
-    [result] = execute_cells([cell], jobs=1)
+    [result] = execute_cells([cell])
     replayed = result_from_dict(json.loads(json.dumps(
         result_to_dict(result))))
     assert replayed == result
@@ -79,14 +79,16 @@ def test_result_roundtrip_is_exact(cell):
 
 def test_memory_tier(cell):
     cache = RunCache()
-    [result] = execute_cells([cell], jobs=1, cache=cache)
+    with perf_context(cache=cache):
+        [result] = execute_cells([cell])
     assert cell.key() in cache
     assert cache.get(cell.key()) is result
     assert len(cache) == 1
 
 
 def test_disk_tier_replays_across_instances(tmp_path, cell):
-    [computed] = execute_cells([cell], jobs=1, cache=RunCache(tmp_path))
+    with perf_context(cache=RunCache(tmp_path)):
+        [computed] = execute_cells([cell])
     # A fresh instance (fresh process, in effect) replays from disk.
     cold = RunCache(tmp_path)
     replayed = cold.get(cell.key())
@@ -101,19 +103,22 @@ def test_disk_tier_replays_across_instances(tmp_path, cell):
 
 def test_corrupt_entry_is_a_miss(tmp_path, cell):
     cache = RunCache(tmp_path)
-    [computed] = execute_cells([cell], jobs=1, cache=cache)
+    with perf_context(cache=cache):
+        [computed] = execute_cells([cell])
     path = tmp_path / f"{cell.key()}.json"
     path.write_text("{truncated")
     assert RunCache(tmp_path).get(cell.key()) is None
     # The next populated run overwrites the corrupt entry.
-    [again] = execute_cells([cell], jobs=1, cache=RunCache(tmp_path))
+    with perf_context(cache=RunCache(tmp_path)):
+        [again] = execute_cells([cell])
     assert again == computed
     assert RunCache(tmp_path).get(cell.key()) == computed
 
 
 def test_clear_and_info(tmp_path, cell):
     cache = RunCache(tmp_path)
-    execute_cells([cell], jobs=1, cache=cache)
+    with perf_context(cache=cache):
+        execute_cells([cell])
     info = cache.info()
     assert info["directory"] == str(tmp_path)
     assert info["disk_entries"] == 1
@@ -150,7 +155,8 @@ def test_hit_rate_counter(tmp_path, cell):
 
 def test_corrupt_entry_is_quarantined_not_deleted(tmp_path, cell):
     cache = RunCache(tmp_path)
-    execute_cells([cell], jobs=1, cache=cache)
+    with perf_context(cache=cache):
+        execute_cells([cell])
     path = tmp_path / f"{cell.key()}.json"
     path.write_text("{truncated")
     fresh = RunCache(tmp_path)
@@ -163,7 +169,8 @@ def test_corrupt_entry_is_quarantined_not_deleted(tmp_path, cell):
 
 def test_structurally_invalid_entry_is_quarantined(tmp_path, cell):
     cache = RunCache(tmp_path)
-    execute_cells([cell], jobs=1, cache=cache)
+    with perf_context(cache=cache):
+        execute_cells([cell])
     path = tmp_path / f"{cell.key()}.json"
     # Valid JSON, wrong shape: times/breakdown missing.
     path.write_text(json.dumps({"result": {"app": "LQCD"}}))
@@ -174,7 +181,8 @@ def test_structurally_invalid_entry_is_quarantined(tmp_path, cell):
 
 def test_quarantine_name_collisions_keep_both(tmp_path, cell):
     cache = RunCache(tmp_path)
-    execute_cells([cell], jobs=1, cache=cache)
+    with perf_context(cache=cache):
+        execute_cells([cell])
     path = tmp_path / f"{cell.key()}.json"
     for i in range(2):
         path.write_text(f"corrupt #{i}")
@@ -185,7 +193,8 @@ def test_quarantine_name_collisions_keep_both(tmp_path, cell):
 
 def test_quarantined_entries_do_not_pollute_len_or_clear(tmp_path, cell):
     cache = RunCache(tmp_path)
-    execute_cells([cell], jobs=1, cache=cache)
+    with perf_context(cache=cache):
+        execute_cells([cell])
     (tmp_path / f"{cell.key()}.json").write_text("junk")
     fresh = RunCache(tmp_path)
     assert fresh.get(cell.key()) is None
@@ -201,7 +210,8 @@ def test_sweep_survives_corrupt_entry(tmp_path, ofp_machine, ofp_linux):
     profile = ALL_PROFILES["LQCD"]()
     cells = [RunCell(ofp_machine, profile, ofp_linux, n, 1, seed=5)
              for n in (16, 64, 256)]
-    first = execute_cells(cells, jobs=1, cache=RunCache(tmp_path))
+    with perf_context(cache=RunCache(tmp_path)):
+        first = execute_cells(cells)
     (tmp_path / f"{cells[1].key()}.json").write_text("{nope")
     counters = MetricsRegistry()
     with perf_context(cache=RunCache(tmp_path), counters=counters):
@@ -217,7 +227,8 @@ def test_verify_reports_and_quarantines(tmp_path, ofp_machine, ofp_linux):
     profile = ALL_PROFILES["LQCD"]()
     cells = [RunCell(ofp_machine, profile, ofp_linux, n, 1, seed=5)
              for n in (16, 64, 256)]
-    execute_cells(cells, jobs=1, cache=RunCache(tmp_path))
+    with perf_context(cache=RunCache(tmp_path)):
+        execute_cells(cells)
     bad = tmp_path / f"{cells[0].key()}.json"
     bad.write_text("{nope")
 
@@ -258,7 +269,8 @@ def test_gc_by_age_prunes_old_entries(tmp_path, ofp_machine, ofp_linux):
     cells = [RunCell(ofp_machine, profile, ofp_linux, n, 1, seed=5)
              for n in (16, 64)]
     cache = RunCache(tmp_path)
-    execute_cells(cells, jobs=1, cache=cache)
+    with perf_context(cache=cache):
+        execute_cells(cells)
     old = tmp_path / f"{cells[0].key()}.json"
     _age(old, days=30)
     report = cache.gc(max_age_days=7)
@@ -277,7 +289,8 @@ def test_gc_by_size_evicts_oldest_first(tmp_path, ofp_machine, ofp_linux):
     cells = [RunCell(ofp_machine, profile, ofp_linux, n, 1, seed=5)
              for n in (16, 64, 256)]
     cache = RunCache(tmp_path)
-    execute_cells(cells, jobs=1, cache=cache)
+    with perf_context(cache=cache):
+        execute_cells(cells)
     paths = [tmp_path / f"{c.key()}.json" for c in cells]
     for i, path in enumerate(paths):
         _age(path, days=len(paths) - i)  # paths[0] is the oldest
@@ -289,7 +302,8 @@ def test_gc_by_size_evicts_oldest_first(tmp_path, ofp_machine, ofp_linux):
 
 def test_gc_zero_budget_clears_the_disk_tier(tmp_path, cell):
     cache = RunCache(tmp_path)
-    execute_cells([cell], jobs=1, cache=cache)
+    with perf_context(cache=cache):
+        execute_cells([cell])
     report = cache.gc(max_bytes=0)
     assert report == {"checked": 1, "removed": 1, "kept": 0,
                       "reclaimed_bytes": report["reclaimed_bytes"]}
@@ -299,7 +313,8 @@ def test_gc_zero_budget_clears_the_disk_tier(tmp_path, cell):
 
 def test_gc_never_touches_quarantine(tmp_path, cell):
     cache = RunCache(tmp_path)
-    execute_cells([cell], jobs=1, cache=cache)
+    with perf_context(cache=cache):
+        execute_cells([cell])
     path = tmp_path / f"{cell.key()}.json"
     path.write_text("{corrupt")
     assert RunCache(tmp_path).get(cell.key()) is None  # quarantines
@@ -318,7 +333,8 @@ def test_gc_on_memory_only_cache_is_a_noop():
 def test_cli_cache_gc(tmp_path, cell, capsys):
     from repro.cli import main
 
-    execute_cells([cell], jobs=1, cache=RunCache(tmp_path))
+    with perf_context(cache=RunCache(tmp_path)):
+        execute_cells([cell])
     assert main(["cache", "gc", "--cache-dir", str(tmp_path),
                  "--max-bytes", "0"]) == 0
     out = capsys.readouterr().out
@@ -331,7 +347,8 @@ def test_cli_cache_gc(tmp_path, cell, capsys):
 
 def _captured_result(cell):
     mem = RunCache()
-    execute_cells([cell], jobs=1, cache=mem)
+    with perf_context(cache=mem):
+        execute_cells([cell])
     return next(iter(mem._memory.items()))
 
 

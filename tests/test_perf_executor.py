@@ -34,9 +34,10 @@ def test_compare_parallel_matches_serial(ofp_machine, ofp_linux,
                                          ofp_mckernel):
     profile = ALL_PROFILES["LQCD"]()
     serial = compare(ofp_machine, profile, ofp_linux, ofp_mckernel,
-                     [16, 64], n_runs=2, seed=3, jobs=1)
-    parallel = compare(ofp_machine, profile, ofp_linux, ofp_mckernel,
-                       [16, 64], n_runs=2, seed=3, jobs=4)
+                     [16, 64], n_runs=2, seed=3)
+    with perf_context(jobs=4):
+        parallel = compare(ofp_machine, profile, ofp_linux, ofp_mckernel,
+                           [16, 64], n_runs=2, seed=3)
     assert len(serial) == len(parallel) == 2
     for s, p in zip(serial, parallel):
         assert s.n_nodes == p.n_nodes
@@ -50,8 +51,9 @@ def test_sweep_apps_parallel_matches_serial():
     kwargs = dict(platform=get_platform("ofp-default"),
                   apps=["AMG2013", "Milc"], node_counts=[16, 64],
                   n_runs=2, seed=7)
-    serial = sweep_apps(jobs=1, **kwargs)
-    parallel = sweep_apps(jobs=4, **kwargs)
+    serial = sweep_apps(**kwargs)
+    with perf_context(jobs=4):
+        parallel = sweep_apps(**kwargs)
     assert serial.keys() == parallel.keys()
     for app in serial:
         for s, p in zip(serial[app], parallel[app]):
@@ -61,8 +63,9 @@ def test_sweep_apps_parallel_matches_serial():
 
 
 def test_fig5_parallel_render_identical():
-    serial = run_experiment("fig5", fast=True, seed=0, jobs=1)
-    parallel = run_experiment("fig5", fast=True, seed=0, jobs=4)
+    serial = run_experiment("fig5", fast=True, seed=0)
+    with perf_context(jobs=4):
+        parallel = run_experiment("fig5", fast=True, seed=0)
     assert parallel.render() == serial.render()
     assert parallel.data == serial.data
 
@@ -71,7 +74,8 @@ def test_cell_order_is_preserved(ofp_machine, ofp_linux, ofp_mckernel):
     profile = ALL_PROFILES["Milc"]()
     cells = [RunCell(ofp_machine, profile, os_i, n, 1, 0)
              for n in (16, 64, 256) for os_i in (ofp_linux, ofp_mckernel)]
-    results = execute_cells(cells, jobs=4)
+    with perf_context(jobs=4):
+        results = execute_cells(cells)
     for cell, result in zip(cells, results):
         assert result.n_nodes == cell.n_nodes
         assert result.os_kind == cell.os_instance.kind
@@ -82,16 +86,16 @@ def test_pool_failure_degrades_to_serial(monkeypatch, ofp_machine,
     profile = ALL_PROFILES["AMG2013"]()
     cells = [RunCell(ofp_machine, profile, ofp_linux, n, 1, 0)
              for n in (16, 64)]
-    reference = execute_cells(cells, jobs=1)
+    reference = execute_cells(cells)
 
-    def broken_pool(pool, todo, jobs):
+    def broken_pool(pool, todo, jobs, timeout):
         raise BrokenProcessPool("worker died")
 
     monkeypatch.setattr(executor_mod, "_run_pool", broken_pool)
     counters = MetricsRegistry()
     with perf_context(jobs=4, counters=counters):
         results = execute_cells(cells)
-        assert get_context()._pool_broken
+        assert get_context()._pool.broken
     assert counters.counts["executor.pool_failures"] == 1
     assert counters.counts["executor.serial_cells"] == len(cells)
     for r, ref in zip(results, reference):
@@ -103,13 +107,14 @@ def test_unpicklable_payload_degrades_to_serial(monkeypatch, ofp_machine,
     profile = ALL_PROFILES["AMG2013"]()
     cells = [RunCell(ofp_machine, profile, ofp_linux, n, 1, 0)
              for n in (16, 64)]
-    reference = execute_cells(cells, jobs=1)
+    reference = execute_cells(cells)
 
-    def unpicklable(pool, todo, jobs):
+    def unpicklable(pool, todo, jobs, timeout):
         raise pickle.PicklingError("can't pickle")
 
     monkeypatch.setattr(executor_mod, "_run_pool", unpicklable)
-    results = execute_cells(cells, jobs=4)
+    with perf_context(jobs=4):
+        results = execute_cells(cells)
     for r, ref in zip(results, reference):
         assert_results_equal(r, ref)
 
@@ -119,7 +124,7 @@ def test_model_errors_propagate(ofp_machine, ofp_linux):
     bad = RunCell(ofp_machine, profile, ofp_linux, n_nodes=0, n_runs=1,
                   seed=0)
     with pytest.raises(Exception):
-        execute_cells([bad], jobs=1)
+        execute_cells([bad])
 
 
 def test_counters_record_fanout(ofp_machine, ofp_linux):
@@ -141,12 +146,12 @@ def test_partial_pool_failure_retries_only_unfinished(
     profile = ALL_PROFILES["AMG2013"]()
     cells = [RunCell(ofp_machine, profile, ofp_linux, n, 1, 0)
              for n in (16, 64, 256)]
-    reference = execute_cells(cells, jobs=1)
+    reference = execute_cells(cells)
 
     calls = []
     by_key = {c.key(): r for c, r in zip(cells, reference)}
 
-    def flaky(pool, todo, jobs, *extra):
+    def flaky(pool, todo, jobs, timeout):
         calls.append([c.key() for c in todo])
         if len(calls) == 1:
             # First cell finished, second blew up the pool.
@@ -180,10 +185,10 @@ def test_partial_results_survive_total_pool_collapse(
     profile = ALL_PROFILES["AMG2013"]()
     cells = [RunCell(ofp_machine, profile, ofp_linux, n, 1, 0)
              for n in (16, 64)]
-    reference = execute_cells(cells, jobs=1)
+    reference = execute_cells(cells)
     by_key = {c.key(): r for c, r in zip(cells, reference)}
 
-    def always_failing(pool, todo, jobs, *extra):
+    def always_failing(pool, todo, jobs, timeout):
         done = {0: by_key[todo[0].key()]} if len(todo) > 1 else {}
         raise executor_mod._PartialPoolFailure(
             done=done, failed_index=len(done),
@@ -206,11 +211,11 @@ def test_zero_retries_goes_straight_to_serial(monkeypatch, ofp_machine,
     profile = ALL_PROFILES["AMG2013"]()
     cells = [RunCell(ofp_machine, profile, ofp_linux, n, 1, 0)
              for n in (16, 64)]
-    reference = execute_cells(cells, jobs=1)
+    reference = execute_cells(cells)
 
     calls = []
 
-    def broken(pool, todo, jobs, *extra):
+    def broken(pool, todo, jobs, timeout):
         calls.append(len(todo))
         raise BrokenProcessPool("worker died")
 
@@ -228,7 +233,7 @@ def test_cell_timeout_still_produces_full_results(ofp_machine, ofp_linux):
     profile = ALL_PROFILES["AMG2013"]()
     cells = [RunCell(ofp_machine, profile, ofp_linux, n, 1, 0)
              for n in (16, 64)]
-    reference = execute_cells(cells, jobs=1)
+    reference = execute_cells(cells)
     with perf_context(jobs=2, cell_timeout=1e-6, max_retries=1):
         results = execute_cells(cells)
     for r, ref in zip(results, reference):

@@ -93,9 +93,11 @@ def test_journal_tolerates_torn_final_line(tmp_path):
 
 def test_journal_rejects_interior_corruption(tmp_path):
     path = tmp_path / "j.jsonl"
-    path.write_text('{"type": "submit"}\ngarbage\n{"type": "done"}\n')
-    with pytest.raises(JournalCorruptionError):
-        Journal(path).records()
+    for bad in (b"garbage", b'{"bad":"\xff"}'):
+        path.write_bytes(b'{"type": "submit"}\n' + bad
+                         + b'\n{"type": "done"}\n')
+        with pytest.raises(JournalCorruptionError):
+            Journal(path).records()
 
 
 # -- job specs ----------------------------------------------------------
@@ -518,6 +520,22 @@ def test_cli_submit_requires_exactly_one_source(tmp_path, capsys):
     spec_file.write_text(_spec().to_json())
     assert main(["submit", str(spec_file), "--experiment", "eq1",
                  "--dir", svc]) == 2
+
+
+def test_cli_non_utf8_journal_byte_is_an_error_not_a_traceback(
+        tmp_path, capsys):
+    from repro.cli import main
+
+    svc = str(tmp_path / "svc")
+    assert main(["submit", "--experiment", "eq1", "--dir", svc]) == 0
+    with (JobQueue(svc).root / "journal.jsonl").open("ab") as fh:
+        fh.write(b'{"bad":"\xff"}\n')
+    capsys.readouterr()
+    assert main(["service", "status", "--dir", svc]) == 2
+    err = capsys.readouterr().err
+    assert "repro: error:" in err and "Traceback" not in err
+    assert main(["service", "verify", "--dir", svc]) == 1
+    assert "journal-corrupt" in capsys.readouterr().out
 
 
 def test_cli_status_reports_failed_jobs_nonzero(tmp_path, capsys):

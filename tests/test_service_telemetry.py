@@ -76,10 +76,12 @@ def test_spool_read_tolerates_torn_tail_and_counts_interior_damage(
     spool.event("a")
     spool.event("b")
     raw = path.read_bytes()
-    path.write_bytes(raw[:12] + b"\n" + raw + b'{"kind": "ev')
-    records, problems = read_spool(path)
-    assert [r["name"] for r in records] == ["a", "b"]
-    assert problems == {"torn_tail": True, "corrupt_lines": 1}
+    for bad, tail in ((raw[:12], b'{"kind": "ev'),
+                      (b'{"bad":"\xff"}', b'{"kind": "\xff')):
+        path.write_bytes(bad + b"\n" + raw + tail)
+        records, problems = read_spool(path)
+        assert [r["name"] for r in records] == ["a", "b"]
+        assert problems == {"torn_tail": True, "corrupt_lines": 1}
     assert read_spool(tmp_path / "absent.jsonl") == \
         ([], {"torn_tail": False, "corrupt_lines": 0})
 
@@ -193,20 +195,22 @@ def test_fsck_heals_a_torn_spool_tail(queue):
 
 
 def test_fsck_quarantines_an_interior_corrupt_spool(queue):
-    queue.submit(JobSpec.for_experiment("eq1"))
-    _worker(queue, worker_id="w0").run()
-    path = spool_dir(queue.root) / "w0.jsonl"
-    lines = path.read_text().splitlines()
-    lines[1] = "not json at all"
-    path.write_text("\n".join(lines) + "\n")
-    report = verify_service(queue.root, repair=True, durable=False)
-    assert [v["check"] for v in report["violations"]] == \
-        ["telemetry-corrupt"]
-    assert report["ok"]
-    assert not path.exists()
-    assert (queue.root / "quarantine" / "telemetry" /
-            "w0.jsonl").exists()
-    assert verify_service(queue.root, durable=False)["clean"]
+    for i, bad in enumerate((b"not json at all", b'{"bad":"\xff"}')):
+        svc = JobQueue(queue.root.with_name(f"svc{i}"), durable=False)
+        svc.submit(JobSpec.for_experiment("eq1"))
+        _worker(svc, worker_id="w0").run()
+        path = spool_dir(svc.root) / "w0.jsonl"
+        lines = path.read_bytes().splitlines()
+        lines[1] = bad
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        report = verify_service(svc.root, repair=True, durable=False)
+        assert [v["check"] for v in report["violations"]] == \
+            ["telemetry-corrupt"]
+        assert report["ok"]
+        assert not path.exists()
+        assert (svc.root / "quarantine" / "telemetry" /
+                "w0.jsonl").exists()
+        assert verify_service(svc.root, durable=False)["clean"]
 
 
 def test_serve_telemetry_flag_wires_the_spool(tmp_path, capsys):

@@ -43,9 +43,9 @@ bit for bit.
 
 Three composable layers:
 
-* **Parallel executor** — `execute_cells(cells, jobs=N)` fans cells
-  out over a `ProcessPoolExecutor` and reassembles results in
-  submission order.  Pool-infrastructure failures degrade to the
+* **Parallel executor** — `execute_cells(cells)` fans cells out over
+  the ambient context's `ProcessPoolExecutor` and reassembles results
+  in submission order.  Pool-infrastructure failures degrade to the
   serial path transparently; model errors propagate unchanged.
 * **Run cache** — `RunCache` stores RunResults content-addressed by
   SHA-256.  Cells carrying a `repro.platform.RunSpec` (everything the
@@ -61,8 +61,7 @@ Three composable layers:
   is moved to the `quarantine/` subdirectory and read as a miss — one
   bad file never kills a sweep.  `repro cache verify` audits the whole
   disk tier with the same check.
-* **Metrics** — `repro.obs.MetricsRegistry` (the successor of
-  `PerfCounters`, which remains as a deprecated alias) accumulates
+* **Metrics** — `repro.obs.MetricsRegistry` accumulates
   executor/cache event counts, wall-time, and labeled series;
   `repro experiments <ids> --stats` prints the report and
   `repro metrics <ids>` dumps Prometheus exposition text.
@@ -70,17 +69,18 @@ Three composable layers:
 See `docs/OBSERVABILITY.md` for the cross-layer tracer
 (`repro trace run`), exporters, and the noise-attribution workflow.
 
-Entry points:
+The knobs (`jobs`, `cache`, `counters`, `cell_timeout`,
+`max_retries`, `target_ci`, `max_adaptive_runs`) are the fields of one
+frozen `repro.perf.PerfContext`, set one way: install a context and
+every sweep inside inherits it.
 
 ```python
 from repro.experiments import run_all, run_experiment
 from repro.perf import RunCache, perf_context
 
-run_experiment("fig5", fast=False, jobs=4)          # parallel fan-out
-run_all(fast=False, jobs=4, cache=RunCache.default())
-
 with perf_context(jobs=4, cache=RunCache.default()):
-    run_experiment("fig6", fast=False)              # inherits ambient knobs
+    run_experiment("fig5", fast=False)              # parallel, memoized
+    run_all(fast=False)                             # one shared pool
 ```
 
 CLI equivalents: `repro experiments fig5 --jobs 0 --stats`
@@ -159,8 +159,9 @@ call, one-shot CLI, experiment registry, exporter, service worker —
 runs through one `repro.engine.ExecutionEngine`.  A bare
 `ExecutionEngine()` inherits the ambient `perf_context` (pure
 pass-through, byte-identical to calling the runners directly);
-`ExecutionEngine.from_options(jobs=..., cache=..., ...)` installs its
-own context for the duration of each `session()`.  Because there is a
+`ExecutionEngine.from_options(jobs=..., cache=..., ...)` builds a
+`PerfContext` and installs that object for the duration of each
+`session()`.  Because there is a
 single execution core, the byte-identity guarantee extends across
 front doors for free.
 
