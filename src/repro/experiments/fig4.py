@@ -58,7 +58,7 @@ def _curve(
     mc = run_mpi_fwq(os_instance, min(n_nodes, mc_nodes), config, rng,
                      cores_per_node=cores_per_node,
                      max_explicit_nodes=mc_nodes)
-    mc_max = float(mc.node_lengths.max())
+    mc_max = mc.max_length
     return {
         "lengths_ms": [to_ms(float(x)) for x in xs],
         "cdf": [float(c) for c in cdf],

@@ -25,8 +25,10 @@ from .mitigation import TABLE2_PAPER, TABLE2_ROWS, countermeasure_sweep
 from .spectral import SpectralPeak, find_periodic_noise, noise_spectrum
 from .sampler import (
     BarrierDelaySampler,
+    WorstNodes,
     fwq_iteration_lengths,
     multi_core_fwq,
+    stream_worst_nodes,
     worst_nodes,
 )
 from .source import NoiseSource, Occurrence, irq_source, tick_source
@@ -56,6 +58,8 @@ __all__ = [
     "BarrierDelaySampler",
     "fwq_iteration_lengths",
     "multi_core_fwq",
+    "stream_worst_nodes",
+    "WorstNodes",
     "worst_nodes",
     "NoiseSource",
     "Occurrence",

@@ -11,6 +11,10 @@ Two samplers cover the paper's measurement modes:
   the order-statistic inverse-CDF trick (no per-thread state), which is
   what makes N = 7,630,848 (full Fugaku) tractable.
 
+The MPI-parallel FWQ's in-situ reduction, :func:`stream_worst_nodes`,
+ranks many simulated nodes through one reused timeline row and keeps
+only the worst nodes' events (Figure 4).
+
 Everything here is NumPy-vectorized per the HPC-Python guides: no
 per-event Python loops on the hot paths.
 """
@@ -18,6 +22,7 @@ per-event Python loops on the hot paths.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -25,8 +30,10 @@ import numpy as np
 from ..errors import ConfigurationError
 from .source import NoiseSource, Occurrence
 
-#: Shared zero-length placeholder for trials a source never hit.
+#: Shared zero-length placeholders for trials a source never hit, and
+#: the seeds of an FWQ node's event lists.
 _EMPTY = np.empty(0)
+_EMPTY_IDX = np.empty(0, dtype=np.int64)
 
 
 def fwq_iteration_lengths(
@@ -45,10 +52,7 @@ def fwq_iteration_lengths(
     event placement by under 0.1% — negligible against the paper's
     run-to-run variation.
     """
-    if t_work <= 0:
-        raise ConfigurationError("t_work must be positive")
-    if n_iterations <= 0:
-        raise ConfigurationError("n_iterations must be positive")
+    _check_fwq_shape(t_work, n_iterations)
     lengths = np.full(n_iterations, t_work, dtype=float)
     horizon = n_iterations * t_work
     for source in sources:
@@ -60,6 +64,36 @@ def fwq_iteration_lengths(
         )
         np.add.at(lengths, idx, durations)
     return lengths
+
+
+def _node_events(
+    sources: Sequence[NoiseSource],
+    t_work: float,
+    n_iterations: int,
+    n_nodes: int,
+    rng: np.random.Generator,
+):
+    """Yield each node's noise events as one ``(iteration index,
+    duration)`` pair of arrays, drawn node-major, source-minor on
+    ``rng`` over the nominal horizon (the stream per-core
+    :func:`fwq_iteration_lengths` calls consume)."""
+    horizon = n_iterations * t_work
+    for _ in range(n_nodes):
+        idx_chunks = [_EMPTY_IDX]
+        dur_chunks = [_EMPTY]
+        for source in sources:
+            starts, durations = source.sample_events(horizon, rng)
+            idx_chunks.append(np.minimum(
+                (starts / t_work).astype(np.int64), n_iterations - 1))
+            dur_chunks.append(durations)
+        yield np.concatenate(idx_chunks), np.concatenate(dur_chunks)
+
+
+def _check_fwq_shape(t_work: float, n_iterations: int) -> None:
+    if t_work <= 0:
+        raise ConfigurationError("t_work must be positive")
+    if n_iterations <= 0:
+        raise ConfigurationError("n_iterations must be positive")
 
 
 def multi_core_fwq(
@@ -74,11 +108,7 @@ def multi_core_fwq(
     are statistically independent: each gets its own event draws."""
     if n_cores <= 0:
         raise ConfigurationError("n_cores must be positive")
-    if t_work <= 0:
-        raise ConfigurationError("t_work must be positive")
-    if n_iterations <= 0:
-        raise ConfigurationError("n_iterations must be positive")
-    horizon = n_iterations * t_work
+    _check_fwq_shape(t_work, n_iterations)
     # Event draws stay in core-major, source-minor order — the exact
     # RNG stream of per-core fwq_iteration_lengths calls — but the
     # charging is batched into a single accumulation over a flat
@@ -88,21 +118,12 @@ def multi_core_fwq(
     # every bit of the result — is unchanged.
     idx_chunks: list[np.ndarray] = []
     dur_chunks: list[np.ndarray] = []
-    for core in range(n_cores):
-        base = core * n_iterations
-        for source in sources:
-            starts, durations = source.sample_events(horizon, rng)
-            if len(starts) == 0:
-                continue
-            idx = np.minimum(
-                (starts / t_work).astype(np.int64), n_iterations - 1
-            )
-            idx_chunks.append(idx + base)
-            dur_chunks.append(durations)
+    for core, (idx, durations) in enumerate(
+            _node_events(sources, t_work, n_iterations, n_cores, rng)):
+        idx_chunks.append(idx + core * n_iterations)
+        dur_chunks.append(durations)
     flat = np.full(n_cores * n_iterations, t_work, dtype=float)
-    if idx_chunks:
-        np.add.at(flat, np.concatenate(idx_chunks),
-                  np.concatenate(dur_chunks))
+    np.add.at(flat, np.concatenate(idx_chunks), np.concatenate(dur_chunks))
     return flat.reshape(n_cores, n_iterations)
 
 
@@ -119,6 +140,82 @@ def worst_nodes(
     keep = min(keep, per_node_lengths.shape[0])
     idx = np.argpartition(totals, -keep)[-keep:]
     return per_node_lengths[idx]
+
+
+@dataclass(frozen=True)
+class WorstNodes:
+    """The worst nodes of a multi-node FWQ run, held as noise events.
+
+    Built by :func:`stream_worst_nodes`; the timelines themselves are
+    built only on request (:meth:`rows`)."""
+
+    t_work: float
+    n_iterations: int
+    #: Every node's total run time, in node order.
+    totals: np.ndarray
+    #: Per kept node, in :func:`worst_nodes`' ``argpartition`` order,
+    #: its events as (iteration index, duration) arrays.
+    events: tuple[tuple[np.ndarray, np.ndarray], ...]
+    #: Per kept node, its longest iteration.
+    maxima: np.ndarray
+
+    def rows(self) -> np.ndarray:
+        """The kept ``(nodes, iterations)`` timelines, bit-identical to
+        ``worst_nodes(multi_core_fwq(...), keep)``."""
+        rows = np.full((len(self.events), self.n_iterations), self.t_work,
+                       dtype=float)
+        for row, (idx, durations) in zip(rows, self.events):
+            np.add.at(row, idx, durations)
+        return rows
+
+
+def stream_worst_nodes(
+    sources: Sequence[NoiseSource],
+    t_work: float,
+    n_iterations: int,
+    n_nodes: int,
+    keep: int,
+    rng: np.random.Generator,
+) -> WorstNodes:
+    """The in-situ worst-node selection without a dense timeline.
+
+    Selects what ``worst_nodes(multi_core_fwq(sources, t_work,
+    n_iterations, n_nodes, rng), keep)`` does without building the
+    ``(n_nodes, n_iterations)`` array.  Draws the same stream as
+    :func:`multi_core_fwq` and charges each node into one reused row,
+    recording the row's sum and maximum.  A slot's updates arrive in
+    the same order and a contiguous row sums like one row of the dense
+    array, so every total, the ranking (ties included) and every kept
+    row match the dense path bit for bit.  Only the kept nodes' events
+    are returned.
+    """
+    if n_nodes <= 0:
+        raise ConfigurationError("n_nodes must be positive")
+    if keep <= 0:
+        raise ConfigurationError("keep must be positive")
+    _check_fwq_shape(t_work, n_iterations)
+    totals = np.empty(n_nodes)
+    maxima = np.empty(n_nodes)
+    events = []
+    row = np.full(n_iterations, t_work, dtype=float)
+    for node, (idx, durations) in enumerate(
+            _node_events(sources, t_work, n_iterations, n_nodes, rng)):
+        np.add.at(row, idx, durations)
+        totals[node] = row.sum()
+        # Durations are non-negative, so no charged slot is below
+        # t_work: the row's maximum is among the charged slots.
+        maxima[node] = row[idx].max() if len(idx) else t_work
+        row[idx] = t_work  # uncharge the row for the next node
+        events.append((idx, durations))
+    keep = min(keep, n_nodes)
+    index = np.argpartition(totals, -keep)[-keep:]
+    return WorstNodes(
+        t_work=t_work,
+        n_iterations=n_iterations,
+        totals=totals,
+        events=tuple(events[i] for i in index),
+        maxima=maxima[index],
+    )
 
 
 class BarrierDelaySampler:

@@ -91,6 +91,14 @@ def test_mpi_fwq_caps_explicit_nodes(fugaku_mckernel, rng):
     assert result.node_lengths.shape[0] == 16
     with pytest.raises(ConfigurationError):
         run_mpi_fwq(fugaku_mckernel, n_nodes=0, config=cfg, rng=rng)
+    # Bad sizes are rejected at entry, under the caller's own name,
+    # before any event is drawn.
+    state = rng.bit_generator.state
+    for bad in ({"keep_worst": 0}, {"max_explicit_nodes": 0}):
+        with pytest.raises(ConfigurationError, match=next(iter(bad))):
+            run_mpi_fwq(fugaku_mckernel, n_nodes=64, config=cfg, rng=rng,
+                        **bad)
+    assert rng.bit_generator.state == state
 
 
 def test_mckernel_fwq_cleaner_than_linux(fugaku_linux, fugaku_mckernel,

@@ -13,7 +13,7 @@ Two kinds of entries land in the file:
   ``sweep_multitrial_32trials``, ...) — machine-dependent, guarded only
   by generous ``max_regression_pct`` budgets;
 * same-run pairs (``apprunner_64trials_loop`` vs
-  ``..._batched``) — their ratio is machine-independent, so the budget
+  ``..._batched``, ``mpi_fwq_dense`` vs ``..._streamed``) — their ratio is machine-independent, so the budget
   ``min_speedup``/``vs`` rules on them are the hard CI gates.
 """
 
@@ -24,10 +24,13 @@ import os
 import pathlib
 import time
 
+import numpy as np
 import pytest
 
 from repro.apps import ALL_PROFILES
+from repro.apps.fwq import FwqConfig, run_mpi_fwq
 from repro.experiments import run_experiment
+from repro.noise import multi_core_fwq, noise_sources_for, worst_nodes
 from repro.perf import RunCache, perf_context
 from repro.platform import get_platform
 from repro.platform.resolve import build, sweep_platform_apps
@@ -166,3 +169,34 @@ def test_trial_batching_bit_identical_and_faster():
             apprunner_64trials_batched=t_batch)
     print(f"\nAppRunner 64 trials @ {n} nodes: loop {t_loop:.4f} s, "
           f"batched {t_batch:.4f} s -> {t_loop / t_batch:.1f}x")
+
+
+@pytest.mark.perfsmoke
+def test_mpi_fwq_streamed_selection_faster_than_dense():
+    """Same-run dense-vs-streamed pair: the MPI-FWQ worst-node
+    selection ranked through one reused row must report the same
+    maximum as the dense (nodes, iterations) timeline and beat it.
+    The ratio is a hard ``vs`` budget gate."""
+    os_instance = build(get_platform("fugaku-production")).os_instance
+    config = FwqConfig(duration=360.0)
+    nodes, keep = 128, 100
+    sources = noise_sources_for(os_instance, include_stragglers=True)
+
+    def dense() -> float:
+        per_node = multi_core_fwq(sources, config.quantum,
+                                  config.iterations_per_run, nodes,
+                                  np.random.default_rng(0))
+        return float(worst_nodes(per_node, keep).max())
+
+    def streamed() -> float:
+        return run_mpi_fwq(os_instance, nodes, config,
+                           np.random.default_rng(0), keep_worst=keep,
+                           max_explicit_nodes=nodes).max_length
+
+    assert streamed() == dense()
+    t_dense = _best_of(5, dense)
+    t_streamed = _best_of(5, streamed)
+    _record(mpi_fwq_dense=t_dense, mpi_fwq_streamed=t_streamed)
+    print(f"\nMPI-FWQ worst {keep} of {nodes} nodes x "
+          f"{config.iterations_per_run} iterations: dense {t_dense:.4f} s, "
+          f"streamed {t_streamed:.4f} s -> {t_dense / t_streamed:.1f}x")

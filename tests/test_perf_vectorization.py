@@ -15,12 +15,14 @@ import numpy as np
 import pytest
 
 from repro.apps.base import WorkloadProfile
+import repro.apps.fwq as fwq_mod
 from repro.apps.fwq import FwqConfig, FtqResult, run_fwq, run_mpi_fwq
 from repro.errors import ConfigurationError
 from repro.noise.catalog import noise_sources_for
 from repro.noise.sampler import (
     BarrierDelaySampler,
     fwq_iteration_lengths,
+    multi_core_fwq,
     worst_nodes,
 )
 from repro.noise.source import NoiseSource, Occurrence
@@ -251,22 +253,47 @@ def test_run_fwq_bitwise_matches_per_repeat_loop():
         np.concatenate(runs).tobytes()
 
 
-def test_run_mpi_fwq_bitwise_matches_per_node_loop(fugaku_linux):
-    config = FwqConfig(quantum=6.5e-3, duration=1.0, repeats=2)
-    batched = run_mpi_fwq(fugaku_linux, 512, config,
-                          np.random.default_rng(4), keep_worst=3,
-                          max_explicit_nodes=8)
-    # Historical implementation: per-node fwq_iteration_lengths into a
-    # preallocated (explicit, n_iter) array, then worst-node selection.
-    sources = noise_sources_for(fugaku_linux, include_stragglers=True)
-    rng = np.random.default_rng(4)
+def _catalogue(os_instance):
+    return noise_sources_for(os_instance, include_stragglers=True)
+
+
+def _rare_sources(_os_instance):
+    # Half the nodes draw no event at all, so their totals tie exactly
+    # and keep=8 of 12 has to split the tie the way argpartition does.
+    return [NoiseSource("rare", interval=4.0, duration=Fixed(us(500)))]
+
+
+@pytest.mark.parametrize("sources, nodes, keep, duration", [
+    pytest.param(_catalogue, 8, 3, 1.0, id="keep-below-nodes"),
+    pytest.param(_catalogue, 8, 8, 1.0, id="keep-equals-nodes"),
+    pytest.param(_catalogue, 8, 20, 1.0, id="keep-above-nodes"),
+    pytest.param(_catalogue, 8, 1, 1.0, id="keep-one"),
+    pytest.param(lambda _os: [], 6, 4, 1.0, id="no-sources-all-tie"),
+    pytest.param(_rare_sources, 12, 8, 1.0, id="eventless-nodes"),
+    # 2 x 9,230 iterations: not a multiple of 128, and longer than
+    # numpy's reduction buffer, so the row sums take the blocked path.
+    pytest.param(_catalogue, 5, 2, 60.0, id="long-unaligned-rows"),
+])
+def test_run_mpi_fwq_bitwise_matches_per_node_loop(
+        fugaku_linux, monkeypatch, sources, nodes, keep, duration):
+    catalogue = sources(fugaku_linux)
+    monkeypatch.setattr(fwq_mod, "noise_sources_for",
+                        lambda *_a, **_k: catalogue)
+    config = FwqConfig(quantum=6.5e-3, duration=duration, repeats=2)
+    streamed = run_mpi_fwq(fugaku_linux, 512, config,
+                           np.random.default_rng(4), keep_worst=keep,
+                           max_explicit_nodes=nodes)
+    # Reference: the dense (nodes, iterations) timeline, then the
+    # in-situ worst-node selection over it.
     n_iter = config.iterations_per_run * config.repeats
-    per_node = np.empty((8, n_iter), dtype=float)
-    for node in range(8):
-        per_node[node] = fwq_iteration_lengths(sources, config.quantum,
-                                               n_iter, rng)
-    kept = worst_nodes(per_node, 3)
-    assert batched.node_lengths.tobytes() == kept.tobytes()
+    per_node = multi_core_fwq(catalogue, config.quantum, n_iter, nodes,
+                              np.random.default_rng(4))
+    kept = worst_nodes(per_node, keep)
+    assert streamed.worst.totals.tobytes() == \
+        per_node.sum(axis=1).tobytes()
+    assert streamed.max_length == streamed.node_lengths.max()
+    assert streamed.worst.maxima.tobytes() == kept.max(axis=1).tobytes()
+    assert streamed.node_lengths.tobytes() == kept.tobytes()
 
 
 # -- spectral comb suppression ----------------------------------------
