@@ -14,9 +14,9 @@ Two instruments, one subsystem:
   simulation's own shared resources (IKC rings, memcg accounting,
   runqueues, the run cache), fed by tracer-style ambient hooks;
 * the **crash-consistency analyzer**
-  (:mod:`repro.analysis.crashsafe`, CC001/CC007/CC009) — containment
-  of raw durability syscalls to :mod:`repro.durable`,
-  crash-absorbing handlers, journal-fold coverage.
+  (:mod:`repro.analysis.crashsafe`, CC001/CC007) — containment
+  of raw durability syscalls to :mod:`repro.durable` and
+  crash-absorbing handlers.
 
 CLI: ``repro analyze lint [paths...]``, ``repro analyze crash
 [paths...]``, ``repro analyze rules`` and ``repro analyze race

@@ -19,14 +19,12 @@ with a plain AST pass over each file:
     io-error) unless it re-raises or names ``CrashInjected``
     explicitly.  Calls into the :mod:`repro.durable` writers that take
     a crash site count as crash points wherever they are made.
-``CC009``
-    every journal record ``type`` emitted anywhere has a fold handler
-    in the queue fold (``table``), the fleet aggregator (``rollups``),
-    and fsck keeps replaying through ``queue.table()``.
 
 The chaos catalogue itself is checked at run time instead: an
 injector refuses an unregistered site, and the tests drive every
-registered crash point (see ``docs/CHAOS.md``).
+registered crash point (see ``docs/CHAOS.md``).  So is journal fold
+coverage: every record type the package journals must be a key of
+:data:`repro.service.journal.FOLD` (``tests/test_service_fold.py``).
 
 CLI: ``repro analyze crash [paths...]`` — canonical-JSON report with
 ``--json``, shared suppression-baseline mechanism
@@ -56,7 +54,6 @@ __all__ = [
     "collect_scan",
     "crash_findings",
     "crash_report",
-    "journal_fold_findings",
     "run_crash",
 ]
 
@@ -76,14 +73,6 @@ CC_RULES: tuple[LintRule, ...] = (
         "name CrashInjected explicitly when the handler must see "
         "crashes, or re-raise with a bare 'raise'; a swallowing "
         "'except Exception' also hides injected io-errors",
-    ),
-    LintRule(
-        "CC009",
-        "journal record type emitted without a fold handler",
-        "handle the type in JobQueue.table and "
-        "FleetAggregator.rollups (and keep fsck replaying via "
-        "queue.table()); an unhandled record silently drops out of "
-        "every folded view",
     ),
 )
 
@@ -129,40 +118,11 @@ _DURABLE_SITE_FUNCS = frozenset({"atomic_publish", "rewrite_in_place"})
 _BROAD_HANDLERS = frozenset({"Exception", "BaseException"})
 
 
-@dataclass(frozen=True)
-class JournalEmit:
-    """One ``journal.append({'type': <literal>, ...})`` call site."""
-
-    rtype: str
-    literal: bool
-    path: str
-    scope: str
-    line: int
-    col: int
-    snippet: str
-
-
-@dataclass(frozen=True)
-class FoldDef:
-    """One fold function over the journal record stream."""
-
-    kind: str  # "queue" (def table) | "fleet" (def rollups)
-    handled: frozenset[str]
-    path: str
-    scope: str
-    line: int
-    snippet: str
-
-
 @dataclass
 class ScanData:
     """Everything one pass over a tree collects."""
 
     findings: list[Finding] = field(default_factory=list)
-    emits: list[JournalEmit] = field(default_factory=list)
-    folds: list[FoldDef] = field(default_factory=list)
-    #: (canonical path, replays-via-queue.table) per fsck module seen.
-    fsck_modules: list[tuple[str, bool]] = field(default_factory=list)
     files_checked: int = 0
 
 
@@ -170,17 +130,13 @@ class ScanData:
 
 
 class _FileScan:
-    """One file's crash-consistency pass: the local rules (CC001,
-    CC007) plus the raw material for CC009."""
+    """One file's crash-consistency pass (CC001, CC007)."""
 
     def __init__(self, path: str, source: str, tree: ast.Module) -> None:
         self.path = path
         self.tree = tree
         self._lines = source.splitlines()
         self.findings: list[Finding] = []
-        self.emits: list[JournalEmit] = []
-        self.folds: list[FoldDef] = []
-        self.table_call = False
         self._aliases = import_aliases(tree)
         self._allowed = _SYSCALL_OWNERS.get(path, frozenset())
         #: function name -> its body directly evaluates a chaos hook
@@ -219,15 +175,8 @@ class _FileScan:
             self._direct_chaos[func.name] = bool(
                 self._chaos_calls(func, self._chaos_vars(func)))
         for func, scope in functions:
-            self._collect(func, scope)
             self._check_handlers(func, scope)
         self._check_containment()
-        if self.path.endswith("fsck.py"):
-            self.table_call = any(
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "table"
-                for node in ast.walk(self.tree))
 
     def _functions(self, tree: ast.Module
                    ) -> "list[tuple[ast.AST, str]]":
@@ -329,52 +278,6 @@ class _FileScan:
                            f"{name}() outside repro/durable.py: crash "
                            "safety is only reviewed and tested there")
 
-    # -- CC009 raw material --------------------------------------------
-
-    def _collect(self, func: ast.AST, scope: str) -> None:
-        for call in self._own_calls(func):
-            fn = call.func
-            if isinstance(fn, ast.Attribute) and fn.attr == "append":
-                recv = self._raw(fn.value)
-                if recv.split(".")[-1] == "journal" and call.args:
-                    self._collect_emit(call, scope)
-        if func.name in ("table", "rollups"):
-            self._collect_fold(func, scope)
-
-    def _collect_emit(self, call: ast.Call, scope: str) -> None:
-        record = call.args[0]
-        if not isinstance(record, ast.Dict):
-            return
-        for key, value in zip(record.keys, record.values):
-            if isinstance(key, ast.Constant) and key.value == "type":
-                literal = (isinstance(value, ast.Constant)
-                           and isinstance(value.value, str))
-                self.emits.append(JournalEmit(
-                    rtype=value.value if literal else "<non-literal>",
-                    literal=literal, path=self.path, scope=scope,
-                    line=call.lineno, col=call.col_offset,
-                    snippet=self._snippet(call)))
-
-    def _collect_fold(self, func: ast.AST, scope: str) -> None:
-        handled: set[str] = set()
-        for stmt in self._own_statements(func):
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Compare):
-                    for sub in ast.walk(node):
-                        if isinstance(sub, ast.Constant) and \
-                                isinstance(sub.value, str):
-                            handled.add(sub.value)
-                elif isinstance(node, ast.Dict) and \
-                        func.name == "rollups":
-                    for key in node.keys:
-                        if isinstance(key, ast.Constant) and \
-                                isinstance(key.value, str):
-                            handled.add(key.value)
-        self.folds.append(FoldDef(
-            kind="queue" if func.name == "table" else "fleet",
-            handled=frozenset(handled), path=self.path, scope=scope,
-            line=func.lineno, snippet=self._snippet(func)))
-
     # -- CC007 ---------------------------------------------------------
 
     def _check_handlers(self, func: ast.AST, scope: str) -> None:
@@ -444,60 +347,6 @@ class _FileScan:
         return None
 
 
-# -- tree-level rule ---------------------------------------------------
-
-
-def journal_fold_findings(emits: Sequence[JournalEmit],
-                          folds: Sequence[FoldDef],
-                          fsck_modules: Sequence[tuple[str, bool]]
-                          ) -> "list[Finding]":
-    """CC009: every emitted record type folds everywhere."""
-    findings: list[Finding] = []
-    by_type: dict[str, JournalEmit] = {}
-    for emit in emits:
-        if not emit.literal:
-            findings.append(Finding(
-                rule_id="CC009", path=emit.path, line=emit.line,
-                col=emit.col, scope=emit.scope, snippet=emit.snippet,
-                message="journal record 'type' must be a string "
-                        "literal so fold coverage is statically "
-                        "checkable"))
-        else:
-            by_type.setdefault(emit.rtype, emit)
-    if not by_type:
-        return findings
-
-    for kind, label in (("queue", "queue fold (def table)"),
-                        ("fleet", "fleet fold (def rollups)")):
-        kind_folds = [f for f in folds if f.kind == kind]
-        if not kind_folds:
-            emit = by_type[sorted(by_type)[0]]
-            findings.append(Finding(
-                rule_id="CC009", path=emit.path, line=emit.line,
-                col=emit.col, scope=emit.scope, snippet=emit.snippet,
-                message=f"journal records are emitted but no {label} "
-                        "exists in the scanned tree"))
-            continue
-        for fold in kind_folds:
-            for rtype in sorted(set(by_type) - fold.handled):
-                emit = by_type[rtype]
-                findings.append(Finding(
-                    rule_id="CC009", path=fold.path, line=fold.line,
-                    col=0, scope=fold.scope, snippet=fold.snippet,
-                    message=f"record type {rtype!r} (emitted at "
-                            f"{emit.path}:{emit.line}) has no handler "
-                            f"in the {label}"))
-    for path, replays in fsck_modules:
-        if not replays:
-            findings.append(Finding(
-                rule_id="CC009", path=path, line=1, col=0,
-                scope="<module>", snippet="",
-                message="fsck no longer replays the journal through "
-                        "queue.table() — repairs would fold records "
-                        "with their own, divergent logic"))
-    return findings
-
-
 # -- driver ------------------------------------------------------------
 
 
@@ -514,10 +363,6 @@ def collect_scan(paths: Sequence["str | pathlib.Path"]) -> ScanData:
         scan.run()
         data.files_checked += 1
         data.findings.extend(scan.findings)
-        data.emits.extend(scan.emits)
-        data.folds.extend(scan.folds)
-        if scan.path.endswith("fsck.py"):
-            data.fsck_modules.append((scan.path, scan.table_call))
     return data
 
 
@@ -529,8 +374,6 @@ def crash_findings(paths: Sequence["str | pathlib.Path"],
     per-rule fixtures use this)."""
     data = collect_scan(paths)
     findings = list(data.findings)
-    findings += journal_fold_findings(data.emits, data.folds,
-                                      data.fsck_modules)
     if only_rules is not None:
         wanted = set(only_rules)
         findings = [f for f in findings if f.rule_id in wanted]

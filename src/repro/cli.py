@@ -731,7 +731,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "entries; exit 1 when anything was pruned")
     p_crash = ana_sub.add_parser(
         "crash", help="run the crash-consistency analyzer "
-                      "(CC001, CC007, CC009)")
+                      "(CC001, CC007)")
     p_crash.add_argument("paths", nargs="*",
                          help="files/directories to scan (default: "
                               "the installed repro package)")

@@ -133,7 +133,7 @@ class ServiceFsck:
             self._found("journal-corrupt", str(exc),
                         path=self._rel(self.queue.journal.path))
             return self._report(root)
-        self.checked["journal_records"] = len(self.queue.journal)
+        self.checked["journal_records"] = self.queue.fold.records
         self._check_artifacts(table)
         self._check_results(table)
         # Re-fold between phases: each repair group may have appended

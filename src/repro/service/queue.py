@@ -9,8 +9,11 @@ State lives under one service directory (``$REPRO_SERVICE_DIR`` or
     results/<id>/     published artifacts (atomic directory rename)
     cache/            shared disk tier of the content-addressed RunCache
 
-The job table is a pure fold over the journal (:meth:`JobQueue.table`)
-— there is no secondary index to corrupt.  States follow the PR-3
+The job table is a fold over the journal (:meth:`JobQueue.table`),
+memoised in process by a :class:`~repro.service.journal.JournalFold`
+keyed by the journal's ``(inode, offset)``: each call parses only the
+records appended since the last one.  Nothing is indexed on disk, so
+there is no secondary index to corrupt.  States follow the
 :class:`~repro.runtime.batchsched.BatchScheduler` model extended with
 the claim handshake::
 
@@ -43,11 +46,9 @@ the queue-level analogue of the batch scheduler's goodput accounting.
 
 from __future__ import annotations
 
-import enum
 import json
 import os
 import pathlib
-from dataclasses import dataclass
 from typing import Optional
 
 from ..chaos.hooks import get_chaos
@@ -58,7 +59,8 @@ from ..obs.export import canonical_json
 from ..obs.metrics import get_metrics
 from ..obs.tracer import get_tracer
 from .jobs import JobSpec, job_id_for
-from .journal import Journal
+from .journal import (CLAIMABLE, TERMINAL, JobState, JobView, Journal,
+                      JournalFold)
 
 __all__ = ["JobQueue", "JobState", "JobView", "default_service_dir"]
 
@@ -69,49 +71,6 @@ def default_service_dir() -> pathlib.Path:
     if env:
         return pathlib.Path(env)
     return pathlib.Path.home() / ".local" / "state" / "repro-service"
-
-
-class JobState(enum.Enum):
-    """Lifecycle of one submitted job (see the module diagram)."""
-
-    QUEUED = "queued"
-    CLAIMED = "claimed"
-    RUNNING = "running"
-    RETRYING = "retrying"
-    DONE = "done"
-    FAILED = "failed"
-
-
-#: States a worker may claim from.
-CLAIMABLE = (JobState.QUEUED, JobState.RETRYING)
-#: States with no further transitions.
-TERMINAL = (JobState.DONE, JobState.FAILED)
-
-
-@dataclass
-class JobView:
-    """One job's folded state (a row of :meth:`JobQueue.table`)."""
-
-    job_id: str
-    kind: str = ""
-    state: JobState = JobState.QUEUED
-    #: Attempt number the *next* claim will carry (= claims so far,
-    #: capped by retries).
-    attempts: int = 0
-    #: Most recent claimant.
-    worker: str = ""
-    #: Most recent failure reason ("" while healthy).
-    error: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "job_id": self.job_id,
-            "kind": self.kind,
-            "state": self.state.value,
-            "attempts": self.attempts,
-            "worker": self.worker,
-            "error": self.error,
-        }
 
 
 class JobQueue:
@@ -147,6 +106,10 @@ class JobQueue:
         self.durable = durable
         self.journal = Journal(self.root / "journal.jsonl",
                                durable=durable)
+        #: The in-process memo of the journal fold: :meth:`table`,
+        #: :meth:`claim_next`, :meth:`depth`, :meth:`drained`,
+        #: :meth:`submit` and fsck all read through it.
+        self.fold = JournalFold(self.journal)
         #: Optional :class:`~repro.obs.spool.TelemetrySpool` the owning
         #: worker attaches; ``None`` (the default) keeps every queue
         #: path byte-identical to the telemetry-less service.
@@ -159,8 +122,7 @@ class JobQueue:
         job id.  The artifact (``jobs/<id>.json``) is written first
         with ``O_EXCL`` — the id is never announced before the bytes
         it names are durable."""
-        seq = sum(1 for r in self.journal.records()
-                  if r.get("type") == "submit")
+        seq = self.fold.update().submits
         data = (jobspec.canonical_json() + "\n").encode()
         job_id = job_id_for(seq, jobspec)
         while not exclusive_create(self.jobs_dir / f"{job_id}.json", data,
@@ -192,54 +154,29 @@ class JobQueue:
     # -- the folded table ---------------------------------------------
 
     def table(self) -> dict[str, JobView]:
-        """Fold the journal into the current job table (job id ->
-        :class:`JobView`), in submission order."""
-        views: dict[str, JobView] = {}
-        for record in self.journal.records():
-            rtype = record.get("type")
-            job_id = record.get("job")
-            if not isinstance(job_id, str) or not job_id:
-                continue
-            view = views.get(job_id)
-            if view is None:
-                view = views[job_id] = JobView(job_id=job_id)
-            worker = str(record.get("worker", ""))
-            if rtype == "submit":
-                view.kind = str(record.get("kind", ""))
-            elif rtype == "claim":
-                view.state = JobState.CLAIMED
-                view.worker = worker
-                view.attempts = int(record.get("attempt", 0)) + 1
-            elif rtype == "run":
-                view.state = JobState.RUNNING
-                view.worker = worker
-            elif rtype == "retry":
-                view.state = JobState.RETRYING
-                view.error = str(record.get("error", ""))
-            elif rtype == "done":
-                view.state = JobState.DONE
-                view.error = ""
-            elif rtype == "fail":
-                view.state = JobState.FAILED
-                view.error = str(record.get("error", ""))
-        return views
+        """The current job table (job id -> :class:`JobView`), in
+        first-record order.  The views are copies: changing one never
+        reaches the memo."""
+        return {job_id: view.copy()
+                for job_id, view in self.fold.update().views.items()}
 
     def job(self, job_id: str) -> JobView:
-        view = self.table().get(job_id)
+        view = self.fold.update().views.get(job_id)
         if view is None:
             raise JobNotFoundError(f"unknown job {job_id!r} "
                                    f"under {self.root}")
-        return view
+        return view.copy()
 
     def depth(self) -> int:
         """Claimable jobs right now (also published as the
         ``service.queue_depth`` gauge by polling workers)."""
-        return sum(1 for v in self.table().values()
+        return sum(1 for v in self.fold.update().views.values()
                    if v.state in CLAIMABLE)
 
     def drained(self) -> bool:
         """Every submitted job is terminal and no claim is live."""
-        if any(v.state not in TERMINAL for v in self.table().values()):
+        if any(v.state not in TERMINAL
+               for v in self.fold.update().views.values()):
             return False
         return not self.active_claims()
 
@@ -258,11 +195,12 @@ class JobQueue:
         next.  Job ids embed the submission ordinal, so "oldest first"
         is a plain sort — identical from every worker.
         """
-        table = self.table()
-        for job_id in sorted(table):
-            if table[job_id].state not in CLAIMABLE:
+        views = self.fold.update().views
+        for job_id in sorted(views):
+            view = views[job_id]
+            if view.state not in CLAIMABLE:
                 continue
-            attempt = table[job_id].attempts
+            attempt = view.attempts
             payload = canonical_json({"attempt": attempt, "heartbeat": 0,
                                       "worker": worker_id})
             if not exclusive_create(self._claim_path(job_id),

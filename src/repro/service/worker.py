@@ -289,11 +289,11 @@ class Worker:
         heartbeat signature has not advanced for ``lease_ticks`` of
         our own polls.  Returns True when a lease was broken (the
         caller re-polls immediately — the job is claimable now)."""
-        table = self.queue.table()
+        views = self.queue.fold.update().views
         claims = self.queue.active_claims()
         broke = False
         for job_id in sorted(claims):
-            view = table.get(job_id)
+            view = views.get(job_id)
             if view is not None and view.state in TERMINAL:
                 self._observations.pop(job_id, None)
                 continue

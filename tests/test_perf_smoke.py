@@ -13,8 +13,10 @@ Two kinds of entries land in the file:
   ``sweep_multitrial_32trials``, ...) — machine-dependent, guarded only
   by generous ``max_regression_pct`` budgets;
 * same-run pairs (``apprunner_64trials_loop`` vs
-  ``..._batched``, ``mpi_fwq_dense`` vs ``..._streamed``) — their ratio is machine-independent, so the budget
-  ``min_speedup``/``vs`` rules on them are the hard CI gates.
+  ``..._batched``, ``mpi_fwq_dense`` vs ``..._streamed``,
+  ``claim_next_cold`` vs ``..._memo``) — their ratio is
+  machine-independent, so the budget ``min_speedup``/``vs`` rules on
+  them are the hard CI gates.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import shutil
 import time
 
 import numpy as np
@@ -35,6 +38,7 @@ from repro.perf import RunCache, perf_context
 from repro.platform import get_platform
 from repro.platform.resolve import build, sweep_platform_apps
 from repro.runtime.runner import AppRunner
+from repro.service import JobQueue, JobSpec, job_id_for
 
 FIGURES = ["fig5", "fig6", "fig7"]
 ROUNDS = 4  # regeneration rounds: an edit-render-inspect loop
@@ -200,3 +204,53 @@ def test_mpi_fwq_streamed_selection_faster_than_dense():
     print(f"\nMPI-FWQ worst {keep} of {nodes} nodes x "
           f"{config.iterations_per_run} iterations: dense {t_dense:.4f} s, "
           f"streamed {t_streamed:.4f} s -> {t_dense / t_streamed:.1f}x")
+
+
+def _retrying_journal(root: pathlib.Path, jobs: int) -> None:
+    """A service directory whose journal holds ``4 * jobs`` records:
+    every job submitted, claimed, run and sent back to RETRYING, so
+    every job is claimable again."""
+    queue = JobQueue(root, durable=False)
+    jobspec = JobSpec.for_experiment("eq1")
+    data = jobspec.canonical_json() + "\n"
+    ids = [job_id_for(seq, jobspec) for seq in range(jobs)]
+    for job_id in ids:
+        (queue.jobs_dir / f"{job_id}.json").write_text(data)
+        queue.journal.append({"type": "submit", "job": job_id,
+                              "kind": jobspec.kind})
+    for job_id in ids:
+        for rtype in ("claim", "run", "retry"):
+            queue.journal.append({"type": rtype, "job": job_id,
+                                  "worker": "w0", "attempt": 0,
+                                  "error": "lost"})
+
+
+@pytest.mark.perfsmoke
+def test_claim_next_memoised_fold_faster_than_cold_refold(tmp_path):
+    """Same-run cold-vs-memoised pair: ``claim_next`` on a 10^4-record
+    journal, once through a queue whose fold memo is warm and once
+    through a fresh queue per claim, which refolds the whole journal.
+    Both claim the same jobs in the same order.  The ratio is a hard
+    ``vs`` budget gate."""
+    claims = 20
+    _retrying_journal(tmp_path / "memo", jobs=2500)
+    shutil.copytree(tmp_path / "memo", tmp_path / "cold")
+    warm = JobQueue(tmp_path / "memo", durable=False)
+    assert warm.fold.update().records == 10_000
+
+    def timed(claim) -> "tuple[float, str]":
+        t0 = time.perf_counter()
+        job_id = claim()[0]
+        return time.perf_counter() - t0, job_id
+
+    memo = [timed(lambda: warm.claim_next("w1")) for _ in range(claims)]
+    cold = [timed(lambda: JobQueue(tmp_path / "cold", create=False,
+                                   durable=False).claim_next("w1"))
+            for _ in range(claims)]
+    assert [job for _, job in memo] == [job for _, job in cold]
+    t_memo = min(t for t, _ in memo)
+    t_cold = min(t for t, _ in cold)
+    _record(claim_next_cold=t_cold, claim_next_memo=t_memo)
+    print(f"\nclaim_next on a 10^4-record journal: cold refold "
+          f"{t_cold * 1e3:.2f} ms, memoised {t_memo * 1e3:.2f} ms -> "
+          f"{t_cold / t_memo:.1f}x")
