@@ -28,6 +28,7 @@ from .sampler import (
     WorstNodes,
     fwq_iteration_lengths,
     multi_core_fwq,
+    pooled_fwq_stats,
     stream_worst_nodes,
     worst_nodes,
 )
@@ -58,6 +59,7 @@ __all__ = [
     "BarrierDelaySampler",
     "fwq_iteration_lengths",
     "multi_core_fwq",
+    "pooled_fwq_stats",
     "stream_worst_nodes",
     "WorstNodes",
     "worst_nodes",

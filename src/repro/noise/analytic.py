@@ -163,11 +163,18 @@ class IterationMixture:
         )
         if hi <= lo or float(self.survival(lo)) <= target:
             return lo
+        # Stop at the fixed point: once an assignment leaves (lo, hi)
+        # unchanged, every later step repeats it, so the result is the
+        # one the full 200 steps would return.
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             if float(self.survival(mid)) > target:
+                if mid == lo:
+                    break
                 lo = mid
             else:
+                if mid == hi:
+                    break
                 hi = mid
         return 0.5 * (lo + hi)
 

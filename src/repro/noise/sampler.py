@@ -13,7 +13,11 @@ Two samplers cover the paper's measurement modes:
 
 The MPI-parallel FWQ's in-situ reduction, :func:`stream_worst_nodes`,
 ranks many simulated nodes through one reused timeline row and keeps
-only the worst nodes' events (Figure 4).
+only the worst nodes' events (Figure 4).  :func:`pooled_fwq_stats`
+reduces the pooled multi-core series to Table 2's statistics from the
+charged iterations alone.  Both match the dense
+:func:`multi_core_fwq` timeline, which stays as their reference, bit
+for bit.
 
 Everything here is NumPy-vectorized per the HPC-Python guides: no
 per-event Python loops on the hot paths.
@@ -96,6 +100,29 @@ def _check_fwq_shape(t_work: float, n_iterations: int) -> None:
         raise ConfigurationError("n_iterations must be positive")
 
 
+def _fwq_events(
+    sources: Sequence[NoiseSource],
+    t_work: float,
+    n_iterations: int,
+    n_cores: int,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every core's noise events as one flat ``(core * n_iterations +
+    iteration index, duration)`` pair of arrays, in draw order: core
+    major, source minor, the exact RNG stream of per-core
+    :func:`fwq_iteration_lengths` calls."""
+    if n_cores <= 0:
+        raise ConfigurationError("n_cores must be positive")
+    _check_fwq_shape(t_work, n_iterations)
+    idx_chunks: list[np.ndarray] = []
+    dur_chunks: list[np.ndarray] = []
+    for core, (idx, durations) in enumerate(
+            _node_events(sources, t_work, n_iterations, n_cores, rng)):
+        idx_chunks.append(idx + core * n_iterations)
+        dur_chunks.append(durations)
+    return np.concatenate(idx_chunks), np.concatenate(dur_chunks)
+
+
 def multi_core_fwq(
     sources: Sequence[NoiseSource],
     t_work: float,
@@ -106,25 +133,126 @@ def multi_core_fwq(
     """FWQ on many cores simultaneously (the paper's MPI-parallel FWQ
     extension).  Returns an ``(n_cores, n_iterations)`` array.  Cores
     are statistically independent: each gets its own event draws."""
-    if n_cores <= 0:
-        raise ConfigurationError("n_cores must be positive")
-    _check_fwq_shape(t_work, n_iterations)
-    # Event draws stay in core-major, source-minor order — the exact
-    # RNG stream of per-core fwq_iteration_lengths calls — but the
-    # charging is batched into a single accumulation over a flat
+    # The charging is batched into a single accumulation over a flat
     # (n_cores * n_iterations) timeline.  np.add.at applies updates
     # sequentially per slot, and each slot belongs to one (core,
     # source-ordered) chunk, so the float accumulation order — hence
-    # every bit of the result — is unchanged.
-    idx_chunks: list[np.ndarray] = []
-    dur_chunks: list[np.ndarray] = []
-    for core, (idx, durations) in enumerate(
-            _node_events(sources, t_work, n_iterations, n_cores, rng)):
-        idx_chunks.append(idx + core * n_iterations)
-        dur_chunks.append(durations)
+    # every bit of the result — is that of per-core calls.
+    slots, durations = _fwq_events(sources, t_work, n_iterations, n_cores,
+                                   rng)
     flat = np.full(n_cores * n_iterations, t_work, dtype=float)
-    np.add.at(flat, np.concatenate(idx_chunks), np.concatenate(dur_chunks))
+    np.add.at(flat, slots, durations)
     return flat.reshape(n_cores, n_iterations)
+
+
+def pooled_fwq_stats(
+    sources: Sequence[NoiseSource],
+    t_work: float,
+    n_iterations: int,
+    n_cores: int,
+    rng: np.random.Generator,
+) -> tuple[float, float, float]:
+    """Table 2's statistics of a multi-core FWQ run, without its series.
+
+    Returns ``(t_min, max_noise, noise_rate)`` of the pooled series,
+    bit-identical to ``lengths = multi_core_fwq(...).ravel()`` followed
+    by ``lengths.min()``, :func:`~repro.noise.analytic.max_noise_length`
+    and :func:`~repro.noise.analytic.noise_rate`, from the same draws,
+    while touching only the charged slots:
+
+    * each charged slot's length is accumulated by ``np.add.at`` in
+      draw order, as on the dense timeline;
+    * durations are non-negative, so ``t_min`` is ``t_work`` whenever a
+      slot is uncharged, and every uncharged slot then contributes an
+      exact ``+0.0`` to the Eq. 2 mean;
+    * the mean's sum replays numpy's pairwise ``add.reduce`` tree over
+      the charged slots only (:func:`_sparse_pairwise_sum`).
+    """
+    slots, durations = _fwq_events(sources, t_work, n_iterations, n_cores,
+                                   rng)
+    n = n_cores * n_iterations
+    charged, inverse = np.unique(slots, return_inverse=True)
+    lengths = np.full(len(charged), t_work, dtype=float)
+    np.add.at(lengths, inverse, durations)
+    t_min = t_work if len(charged) < n else float(lengths.min())
+    max_noise = float(lengths.max(initial=t_work)) - t_min
+    rates = (lengths - t_min) / t_min
+    return t_min, max_noise, _sparse_pairwise_sum(charged, rates, n) / n
+
+
+#: numpy's pairwise-summation leaf size (``PW_BLOCKSIZE``) and unroll.
+_PW_BLOCK = 128
+_PW_LANES = 8
+
+
+def _sparse_pairwise_sum(positions: np.ndarray, values: np.ndarray,
+                         n: int) -> float:
+    """``np.add.reduce`` of a float64 array of length ``n`` that is
+    ``+0.0`` except for ``values`` at the sorted, unique ``positions``,
+    bit for bit, in time proportional to the values.
+
+    numpy sums a contiguous float64 array with a fixed tree: a run of
+    more than 128 elements splits at ``n2 = n//2 - (n//2) % 8``; a leaf
+    sums 8 lane accumulators strided by 8, combines them as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and adds the ``len % 8``
+    tail in order.  Adding ``+0.0`` is exact, so a subtree without
+    values contributes nothing and is never visited; the walk is
+    vectorised level by level.  ``values`` must not hold ``-0.0``.
+    """
+    if len(positions) == 0:
+        return 0.0
+    # Descend: each level holds the runs that contain values.  A run of
+    # more than 128 elements splits; ``children`` maps it to its left
+    # and right runs' indices in the next level (-1 for an empty one).
+    starts = np.zeros(1, dtype=np.int64)
+    sizes = np.array([n], dtype=np.int64)
+    splits: list[np.ndarray] = []
+    children: list[np.ndarray] = []
+    leaf_starts: list[np.ndarray] = []
+    leaf_sizes: list[np.ndarray] = []
+    while True:
+        split = sizes > _PW_BLOCK
+        splits.append(split)
+        leaf_starts.append(starts[~split])
+        leaf_sizes.append(sizes[~split])
+        if not split.any():
+            break
+        half = sizes[split] // 2
+        left = half - half % _PW_LANES
+        starts = np.stack([starts[split], starts[split] + left], axis=1)
+        sizes = np.stack([left, sizes[split] - left], axis=1)
+        occupied = (np.searchsorted(positions, starts + sizes)
+                    > np.searchsorted(positions, starts))
+        children.append(
+            np.where(occupied, np.cumsum(occupied).reshape(-1, 2) - 1, -1))
+        starts, sizes = starts[occupied], sizes[occupied]
+    # Leaves, in level order: lane sums, the lane combine, then the tail.
+    bounds = np.cumsum([0] + [len(s) for s in leaf_starts])
+    starts, sizes = np.concatenate(leaf_starts), np.concatenate(leaf_sizes)
+    order = np.argsort(starts)
+    leaf = order[np.searchsorted(starts[order], positions, side="right") - 1]
+    offset = positions - starts[leaf]
+    in_lanes = offset < sizes[leaf] - sizes[leaf] % _PW_LANES
+    lanes = np.zeros((len(starts), _PW_LANES))
+    np.add.at(lanes.reshape(-1),
+              leaf[in_lanes] * _PW_LANES + offset[in_lanes] % _PW_LANES,
+              values[in_lanes])
+    r = lanes.T
+    leaf_sums = (((r[0] + r[1]) + (r[2] + r[3]))
+                 + ((r[4] + r[5]) + (r[6] + r[7])))
+    np.add.at(leaf_sums, leaf[~in_lanes], values[~in_lanes])
+    # Ascend: a split run sums to its left child's sum plus its right's.
+    below = np.zeros(0)
+    for depth in reversed(range(len(splits))):
+        split = splits[depth]
+        sums = np.empty(len(split))
+        sums[~split] = leaf_sums[bounds[depth]:bounds[depth + 1]]
+        if depth < len(children):
+            padded = np.append(below, 0.0)  # index -1 reads this +0.0
+            pair = children[depth]
+            sums[split] = padded[pair[:, 0]] + padded[pair[:, 1]]
+        below = sums
+    return float(below[0])
 
 
 def worst_nodes(

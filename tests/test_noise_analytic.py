@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.apps.fwq import DEFAULT_QUANTUM, FwqConfig
 from repro.errors import ConfigurationError
+from repro.hardware.machines import NODES_PER_RACK
 from repro.noise.analytic import (
     IterationMixture,
     NoiseGroup,
@@ -16,6 +18,7 @@ from repro.noise.analytic import (
     noise_rate,
 )
 from repro.noise.source import NoiseSource, Occurrence
+from repro.platform import build, get_platform
 from repro.sim.distributions import Fixed, TruncatedExponential
 from repro.units import ms, us
 
@@ -149,6 +152,44 @@ def test_quantile_monotone_and_bounded():
     m = _mixture()
     q1, q2 = m.quantile(0.9), m.quantile(0.9999)
     assert 6.5e-3 <= q1 <= q2
+
+
+def _quantile_200_steps(mixture, q):
+    """The fixed-length bisection :meth:`IterationMixture.quantile`
+    ran before it learned to stop at its fixed point."""
+    target = 1.0 - q
+    lo = mixture.t_work
+    hi = mixture.t_work + max(
+        (s.max_length for s in mixture.sources), default=0.0)
+    if hi <= lo or float(mixture.survival(lo)) <= target:
+        return lo
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if float(mixture.survival(mid)) > target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _fig4_pools():
+    """Every pool size Figure 4 evaluates, fast and full mode."""
+    machine = build(get_platform("fugaku-production")).machine
+    cores = [1024 * 256, machine.n_nodes * 48, 24 * NODES_PER_RACK * 48]
+    iterations = [FwqConfig(duration=d, repeats=r).iterations_per_run * r
+                  for d, r in ((60.0, 2), (360.0, 10))]
+    return [float(c) * i for c in cores for i in iterations]
+
+
+@pytest.mark.parametrize("platform", [
+    "ofp-default", "ofp-mckernel", "fugaku-production", "fugaku-mckernel",
+])
+def test_quantile_early_exit_matches_200_step_bisection(platform):
+    sources = build(get_platform(platform)).noise_sources()
+    mixture = IterationMixture(sources, DEFAULT_QUANTUM)
+    qs = [0.5, 0.999, 0.999999] + [1.0 - 1.0 / p for p in _fig4_pools()]
+    for q in qs:
+        assert mixture.quantile(q) == _quantile_200_steps(mixture, q), q
 
 
 def test_cdf_curve_shape():

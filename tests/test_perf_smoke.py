@@ -14,7 +14,8 @@ Two kinds of entries land in the file:
   by generous ``max_regression_pct`` budgets;
 * same-run pairs (``apprunner_64trials_loop`` vs
   ``..._batched``, ``mpi_fwq_dense`` vs ``..._streamed``,
-  ``claim_next_cold`` vs ``..._memo``) — their ratio is
+  ``table2_stats_dense`` vs ``..._sparse``, ``claim_next_cold`` vs
+  ``..._memo``) — their ratio is
   machine-independent, so the budget ``min_speedup``/``vs`` rules on
   them are the hard CI gates.
 """
@@ -33,7 +34,12 @@ import pytest
 from repro.apps import ALL_PROFILES
 from repro.apps.fwq import FwqConfig, run_mpi_fwq
 from repro.experiments import run_experiment
-from repro.noise import multi_core_fwq, noise_sources_for, worst_nodes
+from repro.noise import (
+    multi_core_fwq,
+    noise_sources_for,
+    pooled_fwq_stats,
+    worst_nodes,
+)
 from repro.perf import RunCache, perf_context
 from repro.platform import get_platform
 from repro.platform.resolve import build, sweep_platform_apps
@@ -204,6 +210,37 @@ def test_mpi_fwq_streamed_selection_faster_than_dense():
     print(f"\nMPI-FWQ worst {keep} of {nodes} nodes x "
           f"{config.iterations_per_run} iterations: dense {t_dense:.4f} s, "
           f"streamed {t_streamed:.4f} s -> {t_dense / t_streamed:.1f}x")
+
+
+@pytest.mark.perfsmoke
+def test_table2_sparse_stats_faster_than_dense():
+    """Same-run dense-vs-sparse pair on one full-mode Table 2 row (16
+    cores x 1 hour of 6.5 ms quanta): the statistics reduced from the
+    charged slots must equal the dense pooled series' in-place
+    reduction bit for bit and beat it.  The ratio is a hard ``vs``
+    budget gate."""
+    config = FwqConfig(duration=3600.0)
+    shape = (build(get_platform("a64fx-testbed")).noise_sources(),
+             config.quantum, config.iterations_per_run, 16)
+
+    def dense() -> "tuple[float, float, float]":
+        lengths = multi_core_fwq(*shape, np.random.default_rng(0)).ravel()
+        t_min = float(lengths.min())
+        max_noise = float(lengths.max()) - t_min
+        np.subtract(lengths, t_min, out=lengths)
+        np.divide(lengths, t_min, out=lengths)
+        return t_min, max_noise, float(lengths.mean())
+
+    def sparse() -> "tuple[float, float, float]":
+        return pooled_fwq_stats(*shape, np.random.default_rng(0))
+
+    assert sparse() == dense()
+    t_dense = _best_of(5, dense)
+    t_sparse = _best_of(5, sparse)
+    _record(table2_stats_dense=t_dense, table2_stats_sparse=t_sparse)
+    print(f"\nTable 2 row, 16 x {config.iterations_per_run} iterations: "
+          f"dense {t_dense:.4f} s, sparse {t_sparse:.4f} s -> "
+          f"{t_dense / t_sparse:.1f}x")
 
 
 def _retrying_journal(root: pathlib.Path, jobs: int) -> None:

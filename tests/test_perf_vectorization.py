@@ -13,16 +13,21 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.base import WorkloadProfile
 import repro.apps.fwq as fwq_mod
 from repro.apps.fwq import FwqConfig, FtqResult, run_fwq, run_mpi_fwq
 from repro.errors import ConfigurationError
+from repro.noise.analytic import max_noise_length, noise_rate
 from repro.noise.catalog import noise_sources_for
 from repro.noise.sampler import (
     BarrierDelaySampler,
+    _sparse_pairwise_sum,
     fwq_iteration_lengths,
     multi_core_fwq,
+    pooled_fwq_stats,
     worst_nodes,
 )
 from repro.noise.source import NoiseSource, Occurrence
@@ -294,6 +299,60 @@ def test_run_mpi_fwq_bitwise_matches_per_node_loop(
     assert streamed.max_length == streamed.node_lengths.max()
     assert streamed.worst.maxima.tobytes() == kept.max(axis=1).tobytes()
     assert streamed.node_lengths.tobytes() == kept.tobytes()
+
+
+# -- Table 2's pooled statistics from the charged slots ----------------
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    n=st.one_of(
+        st.integers(0, 300),
+        st.sampled_from([127, 128, 129, 136, 1_023, 553_841, 553_846,
+                         1_000_000]),
+        st.integers(0, 1_000_000),
+    ),
+    density=st.one_of(st.sampled_from([0.0, 1.0]),
+                      st.floats(-7.0, 0.0).map(lambda e: 10.0 ** e)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sparse_pairwise_sum_bitwise_matches_add_reduce(n, density, seed):
+    """The replayed tree equals numpy's own ``add.reduce`` of the dense
+    array: a numpy release that changes its summation tree fails here
+    instead of silently moving Table 2's digits."""
+    rng = np.random.default_rng(seed)
+    positions = np.flatnonzero(rng.random(n) < density)
+    # Signs and magnitudes spread over 16 decades, so any change to the
+    # order of the additions shows in the rounding.  (+ 0.0 turns a
+    # -0.0 into +0.0; the sum's contract excludes -0.0 values.)
+    values = (rng.standard_normal(len(positions))
+              * 10.0 ** rng.integers(-8, 8, len(positions))) + 0.0
+    dense = np.zeros(n)
+    dense[positions] = values
+    got = _sparse_pairwise_sum(positions, values, n)
+    assert np.float64(got).tobytes() == np.add.reduce(dense).tobytes()
+
+
+@pytest.mark.parametrize("sources, cores, every_slot_charged", [
+    pytest.param(_catalogue, 3, False, id="fugaku-catalogue"),
+    # A 1 ms tick charges every 6.5 ms quantum, so t_min > t_work.
+    pytest.param(lambda _os: _mixed_sources(), 2, True,
+                 id="every-slot-charged"),
+    pytest.param(lambda _os: [], 2, False, id="no-sources"),
+])
+def test_pooled_fwq_stats_bitwise_match_dense_series(
+        fugaku_linux, sources, cores, every_slot_charged):
+    catalogue = sources(fugaku_linux)
+    # 9,231 iterations per core: no multiple of 8 or 128.
+    shape = (catalogue, 6.5e-3, 9_231, cores)
+    t_min, max_noise, rate = pooled_fwq_stats(*shape,
+                                              np.random.default_rng(3))
+    lengths = multi_core_fwq(*shape, np.random.default_rng(3)).ravel()
+    assert (t_min > 6.5e-3) == every_slot_charged
+    assert (max_noise > 0) == bool(catalogue)
+    assert t_min == lengths.min()
+    assert max_noise == max_noise_length(lengths)
+    assert rate == noise_rate(lengths)
 
 
 # -- spectral comb suppression ----------------------------------------
