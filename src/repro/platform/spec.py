@@ -19,9 +19,11 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import json
 import typing
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import Any, Callable, Mapping
 
 from ..errors import ConfigurationError
@@ -64,8 +66,11 @@ def _type_error(field_name: str, expected: str, value: Any) -> ConfigurationErro
     )
 
 
-def _tuning_field_types() -> dict[str, type]:
-    return typing.get_type_hints(LinuxTuning)
+@functools.cache
+def _tuning_field_types() -> Mapping[str, type]:
+    """:class:`LinuxTuning`'s field types, resolved once: every
+    ``RunSpec`` decode consults them."""
+    return MappingProxyType(typing.get_type_hints(LinuxTuning))
 
 
 def _encode_value(value: Any) -> Any:
