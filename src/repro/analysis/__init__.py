@@ -12,27 +12,14 @@ Two instruments, one subsystem:
   (:mod:`repro.analysis.race`, :mod:`repro.analysis.runrace`) — a
   lockdep-style ordering/ownership/coherence checker over the
   simulation's own shared resources (IKC rings, memcg accounting,
-  runqueues, the run cache), fed by tracer-style ambient hooks;
-* the **crash-consistency analyzer**
-  (:mod:`repro.analysis.crashsafe`, CC001/CC007) — containment
-  of raw durability syscalls to :mod:`repro.durable` and
-  crash-absorbing handlers.
+  runqueues, the run cache), fed by tracer-style ambient hooks.
 
-CLI: ``repro analyze lint [paths...]``, ``repro analyze crash
-[paths...]``, ``repro analyze rules`` and ``repro analyze race
-<experiment>``; the ``repro-lint`` console script is the same gate CI
-runs.  See ``docs/ANALYSIS.md`` for the rule catalogs and report
-formats.
+CLI: ``repro analyze lint [paths...]`` (the gate CI runs), ``repro
+analyze rules`` and ``repro analyze race <experiment>``.  See
+``docs/ANALYSIS.md`` for the rule catalog and report formats.
 """
 
 from .baseline import DEFAULT_BASELINE_PATH, Baseline, BaselineEntry
-from .crashsafe import (
-    CC_RULES,
-    DEFAULT_CRASH_BASELINE_PATH,
-    CrashReport,
-    crash_report,
-    run_crash,
-)
 from .linter import LintReport, lint_paths
 from .race import (
     RaceDetector,
@@ -40,25 +27,19 @@ from .race import (
     detecting,
     get_race_detector,
 )
-from .rules import ALL_RULES_BY_ID, RULES, Finding, LintRule
+from .rules import RULES, Finding, LintRule
 
 __all__ = [
-    "ALL_RULES_BY_ID",
     "Baseline",
     "BaselineEntry",
-    "CC_RULES",
-    "CrashReport",
     "DEFAULT_BASELINE_PATH",
-    "DEFAULT_CRASH_BASELINE_PATH",
     "Finding",
     "LintReport",
     "LintRule",
     "RULES",
     "RaceDetector",
     "RaceViolation",
-    "crash_report",
     "detecting",
     "get_race_detector",
     "lint_paths",
-    "run_crash",
 ]

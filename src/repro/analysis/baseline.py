@@ -21,7 +21,7 @@ import pathlib
 from dataclasses import dataclass
 
 from ..errors import ConfigurationError
-from .rules import ALL_RULES_BY_ID, Finding
+from .rules import RULES_BY_ID, Finding
 
 __all__ = ["BaselineEntry", "Baseline", "DEFAULT_BASELINE_PATH"]
 
@@ -83,7 +83,7 @@ class Baseline:
             if missing:
                 raise ConfigurationError(
                     f"baseline {path}: entry {i} missing {missing}")
-            if raw["rule"] not in ALL_RULES_BY_ID:
+            if raw["rule"] not in RULES_BY_ID:
                 raise ConfigurationError(
                     f"baseline {path}: entry {i} names unknown rule "
                     f"{raw['rule']!r}")

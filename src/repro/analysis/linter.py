@@ -1,11 +1,10 @@
 """Determinism sanitizer driver: files in, deterministic report out.
 
-``repro analyze lint [paths...]`` (or the ``repro-lint`` console
-script) parses every ``.py`` file under the given paths, runs the
-:mod:`repro.analysis.rules` catalog over each, subtracts the
-checked-in baseline, and renders findings sorted by location — the
-same bytes on every machine, which is what lets CI diff the gate's
-output.
+``repro analyze lint [paths...]`` parses every ``.py`` file under the
+given paths, runs the :mod:`repro.analysis.rules` catalog over each,
+subtracts the checked-in baseline, and renders findings sorted by
+location — the same bytes on every machine, which is what lets CI diff
+the gate's output.
 
 Exit codes: ``0`` clean (possibly with baselined suppressions), ``1``
 at least one unsuppressed finding, ``2`` usage error.
@@ -13,7 +12,6 @@ at least one unsuppressed finding, ``2`` usage error.
 
 from __future__ import annotations
 
-import argparse
 import ast
 import json
 import pathlib
@@ -23,9 +21,9 @@ from typing import Optional, Sequence
 
 from ..errors import ConfigurationError
 from .baseline import DEFAULT_BASELINE_PATH, Baseline
-from .rules import RULES, RULES_BY_ID, FileChecker, Finding
+from .rules import RULES, FileChecker, Finding
 
-__all__ = ["LintReport", "lint_paths", "canonical_path", "main"]
+__all__ = ["LintReport", "lint_paths", "canonical_path"]
 
 #: Path segment that anchors canonical finding paths: anything inside
 #: the installed/checked-out ``repro`` package reports as
@@ -129,26 +127,8 @@ def lint_paths(paths: Sequence[str | pathlib.Path],
     return report
 
 
-def rule_catalog() -> str:
-    """The rule table ``repro analyze lint --rules`` prints."""
-    lines = ["determinism sanitizer rules:"]
-    for rule in RULES:
-        lines.append(f"  {rule.rule_id}  {rule.title}")
-        lines.append(f"          fix: {rule.fixit}")
-    return "\n".join(lines)
-
-
-def all_rules() -> "list":
-    """Every registered rule (DET + CC), sorted by id.  Importing the
-    crashsafe module here (lazily — it imports this module) is what
-    registers the CC family when callers enter via the linter alone."""
-    from . import crashsafe  # noqa: F401  (registers CC_RULES)
-    from .rules import ALL_RULES_BY_ID
-    return [ALL_RULES_BY_ID[rid] for rid in sorted(ALL_RULES_BY_ID)]
-
-
 def run_rules(output_format: str = "text", out=None) -> int:
-    """Shared body of ``repro analyze rules``: the machine-readable
+    """Body of ``repro analyze rules``: the machine-readable
     rule catalogue ``tools/gen_api.py`` and the docs consume, so the
     tables in ``docs/ANALYSIS.md``/``docs/API.md`` cannot drift from
     the code.  JSON output is canonical (sorted keys, fixed
@@ -157,33 +137,23 @@ def run_rules(output_format: str = "text", out=None) -> int:
 
     if out is None:  # bind at call time so stream capture works
         out = sys.stdout
-    rules = all_rules()
     if output_format == "json":
         payload = [{"rule": r.rule_id, "title": r.title,
-                    "fixit": r.fixit,
-                    "family": "crash-consistency"
-                    if r.rule_id.startswith("CC") else "determinism"}
-                   for r in rules]
+                    "fixit": r.fixit} for r in RULES]
         print(canonical_json(payload), file=out)
     else:
-        for rule in rules:
+        for rule in RULES:
             print(f"{rule.rule_id}  {rule.title}", file=out)
     return 0
-
-
-def default_lint_paths() -> list[pathlib.Path]:
-    """With no explicit targets, lint the installed repro package."""
-    return [pathlib.Path(__file__).resolve().parent.parent]
 
 
 def run_lint(paths: Sequence[str] | None = None,
              baseline_path: Optional[str] = None,
              no_baseline: bool = False,
              output_format: str = "text",
-             list_rules: bool = False,
              prune_baseline: bool = False,
              out=None) -> int:
-    """Shared body of ``repro analyze lint`` and ``repro-lint``.
+    """Body of ``repro analyze lint``.
 
     ``prune_baseline`` rewrites the baseline file dropping entries
     that matched nothing this run; exits 1 when anything was pruned
@@ -192,9 +162,6 @@ def run_lint(paths: Sequence[str] | None = None,
     """
     if out is None:  # bind at call time so stream capture works
         out = sys.stdout
-    if list_rules:
-        print(rule_catalog(), file=out)
-        return 0
     baseline = None
     if not no_baseline:
         source = pathlib.Path(baseline_path) if baseline_path \
@@ -204,7 +171,9 @@ def run_lint(paths: Sequence[str] | None = None,
         elif baseline_path:
             raise ConfigurationError(
                 f"baseline {baseline_path!r} not found")
-    targets = list(paths) if paths else default_lint_paths()
+    # With no explicit targets, lint the installed repro package.
+    targets = list(paths) if paths else \
+        [pathlib.Path(__file__).resolve().parent.parent]
     report = lint_paths(targets, baseline=baseline)
     pruned = 0
     if prune_baseline and baseline is not None \
@@ -221,35 +190,3 @@ def run_lint(paths: Sequence[str] | None = None,
                   f"{'y' if pruned == 1 else 'ies'} from "
                   f"{baseline.source}", file=out)
     return 0 if report.clean and not pruned else 1
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-lint",
-        description="AST determinism sanitizer over repro source "
-                    "trees (same gate CI runs)")
-    parser.add_argument("paths", nargs="*",
-                        help="files/directories to lint (default: the "
-                             "installed repro package)")
-    parser.add_argument("--baseline", metavar="FILE",
-                        help="suppression baseline JSON (default: the "
-                             "packaged analysis/baseline.json)")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="report every hit, baselined or not")
-    parser.add_argument("--format", choices=["text", "json"],
-                        default="text", dest="output_format")
-    parser.add_argument("--rules", action="store_true",
-                        help="print the rule catalog and exit")
-    parser.add_argument("--prune-baseline", action="store_true",
-                        help="rewrite the baseline dropping stale "
-                             "entries; exit 1 when anything was pruned")
-    args = parser.parse_args(argv)
-    return run_lint(paths=args.paths, baseline_path=args.baseline,
-                    no_baseline=args.no_baseline,
-                    output_format=args.output_format,
-                    list_rules=args.rules,
-                    prune_baseline=args.prune_baseline)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

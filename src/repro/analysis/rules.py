@@ -20,9 +20,8 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 
-__all__ = ["ALL_RULES_BY_ID", "LintRule", "Finding", "RULES",
-           "RULES_BY_ID", "FileChecker", "import_aliases", "qualname",
-           "register_rules"]
+__all__ = ["LintRule", "Finding", "RULES", "RULES_BY_ID", "FileChecker",
+           "import_aliases", "qualname"]
 
 
 @dataclass(frozen=True)
@@ -109,24 +108,6 @@ RULES: tuple[LintRule, ...] = (
 
 RULES_BY_ID = {rule.rule_id: rule for rule in RULES}
 
-#: Every registered rule across families (DET here, CC in
-#: :mod:`repro.analysis.crashsafe`).  Baseline validation and
-#: :meth:`Finding.render` consult this so findings from any family
-#: resolve to their catalogue entry.
-ALL_RULES_BY_ID: dict[str, LintRule] = dict(RULES_BY_ID)
-
-
-def register_rules(rules: "tuple[LintRule, ...]") -> None:
-    """Add a rule family to the shared registry (idempotent; a
-    conflicting re-registration of an existing id is an error)."""
-    for rule in rules:
-        existing = ALL_RULES_BY_ID.get(rule.rule_id)
-        if existing is not None and existing != rule:
-            raise ValueError(
-                f"rule id {rule.rule_id!r} already registered with a "
-                "different definition")
-        ALL_RULES_BY_ID[rule.rule_id] = rule
-
 
 @dataclass(frozen=True)
 class Finding:
@@ -148,7 +129,7 @@ class Finding:
         return (self.rule_id, self.path, self.scope, self.snippet)
 
     def render(self) -> str:
-        rule = ALL_RULES_BY_ID.get(self.rule_id) or LintRule(
+        rule = RULES_BY_ID.get(self.rule_id) or LintRule(
             self.rule_id, "unregistered rule", "register the rule")
         return (f"{self.path}:{self.line}:{self.col}: {self.rule_id} "
                 f"[{self.scope}] {self.message}\n"

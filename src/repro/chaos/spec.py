@@ -46,6 +46,19 @@ ACTIONS = ("kill", "torn-write", "io-error")
 MODES = ("raise", "exit")
 
 
+def _field(payload: Mapping, key: str, default, kind: str, where: str):
+    """``payload[key]`` (or ``default``) if it is a JSON value of
+    ``kind`` — ``"integer"``, ``"number"`` or ``"string"``; anything
+    else (a bool, a float integer, a list, null) is a
+    ConfigurationError naming the field, never a coercion."""
+    value = payload.get(key, default)
+    types = {"integer": int, "number": (int, float), "string": str}[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigurationError(
+            f"{where}: {key!r} must be a JSON {kind}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class SitePolicy:
     """Chaos policy for one named crash point."""
@@ -106,12 +119,13 @@ class SitePolicy:
         if unknown:
             raise ConfigurationError(
                 f"site policy: unknown field(s) {unknown}")
+        where = "site policy"
         return cls(
-            site=str(payload.get("site", "")),
-            action=str(payload.get("action", "kill")),
-            p=float(payload.get("p", 1.0)),
-            max_fires=int(payload.get("max_fires", 1)),
-            skip=int(payload.get("skip", 0)),
+            site=_field(payload, "site", "", "string", where),
+            action=_field(payload, "action", "kill", "string", where),
+            p=float(_field(payload, "p", 1.0, "number", where)),
+            max_fires=_field(payload, "max_fires", 1, "integer", where),
+            skip=_field(payload, "skip", 0, "integer", where),
         )
 
 
@@ -162,9 +176,10 @@ class ChaosSpec:
         sites = payload.get("sites", ())
         if not isinstance(sites, Sequence) or isinstance(sites, (str, bytes)):
             raise ConfigurationError("chaos spec: 'sites' must be a list")
+        where = "chaos spec"
         return cls(
-            seed=int(payload.get("seed", 0)),
-            mode=str(payload.get("mode", "raise")),
+            seed=_field(payload, "seed", 0, "integer", where),
+            mode=_field(payload, "mode", "raise", "string", where),
             sites=tuple(SitePolicy.from_dict(s) for s in sites),
         )
 

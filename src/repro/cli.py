@@ -553,18 +553,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             baseline_path=args.baseline,
             no_baseline=args.no_baseline,
             output_format="json" if args.json else "text",
-            list_rules=args.list_rules,
-            prune_baseline=args.prune_baseline,
-        )
-
-    if args.analyze_cmd == "crash":
-        from .analysis.crashsafe import run_crash
-
-        return run_crash(
-            args.paths or None,
-            baseline_path=args.baseline,
-            no_baseline=args.no_baseline,
-            output_format="json" if args.json else "text",
             prune_baseline=args.prune_baseline,
         )
 
@@ -709,8 +697,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_metrics.add_argument("--cache-dir", metavar="DIR")
 
     p_ana = sub.add_parser(
-        "analyze", help="determinism lint, crash-consistency lint and "
-                        "simulated-race detection")
+        "analyze", help="determinism lint and simulated-race detection")
     ana_sub = p_ana.add_subparsers(dest="analyze_cmd", required=True)
     p_lint = ana_sub.add_parser(
         "lint", help="run the determinism sanitizer (DET001..DET010)")
@@ -724,32 +711,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="report every finding, suppressing nothing")
     p_lint.add_argument("--json", action="store_true",
                         help="machine-readable report on stdout")
-    p_lint.add_argument("--list-rules", action="store_true",
-                        help="print the rule catalog and exit")
     p_lint.add_argument("--prune-baseline", action="store_true",
                         help="rewrite the baseline dropping stale "
                              "entries; exit 1 when anything was pruned")
-    p_crash = ana_sub.add_parser(
-        "crash", help="run the crash-consistency analyzer "
-                      "(CC001, CC007)")
-    p_crash.add_argument("paths", nargs="*",
-                         help="files/directories to scan (default: "
-                              "the installed repro package)")
-    p_crash.add_argument("--baseline", metavar="FILE",
-                         help="suppression baseline JSON (default: "
-                              "the checked-in "
-                              "analysis/crash_baseline.json)")
-    p_crash.add_argument("--no-baseline", action="store_true",
-                         help="report every finding, suppressing "
-                              "nothing")
-    p_crash.add_argument("--json", action="store_true",
-                         help="canonical-JSON report on stdout")
-    p_crash.add_argument("--prune-baseline", action="store_true",
-                         help="rewrite the baseline dropping stale "
-                              "entries; exit 1 when anything was "
-                              "pruned")
     p_rules = ana_sub.add_parser(
-        "rules", help="list every registered lint rule (DET + CC)")
+        "rules", help="list the determinism lint rules (DET001..DET010)")
     p_rules.add_argument("--json", action="store_true",
                          help="canonical-JSON catalogue on stdout")
     p_race = ana_sub.add_parser(

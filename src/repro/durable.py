@@ -3,11 +3,12 @@
 Every crash-sensitive write in the package goes through a function
 here: the journal and the telemetry spools, submission artifacts and
 claims, the lease bump and the lease break, run-cache entries, result
-publication, and fsck's repairs.  ``repro analyze crash`` (rule CC001)
-fails when any other module issues the raw syscalls itself
-(``os.open``, ``os.write``, ``os.ftruncate``, ``os.fsync``,
-``os.replace``/``os.rename``, ``tempfile.mkstemp``), so each idiom is
-written, reviewed and tested once (``tests/test_durable.py``):
+publication, and fsck's repairs.  No other module issues the raw
+syscalls itself (``os.open``, ``os.write``, ``os.ftruncate``,
+``os.fsync``, ``os.replace``/``os.rename``, ``tempfile.mkstemp``) —
+the chaos injector's ``os.write`` aside — so each idiom is written,
+reviewed and tested once.  ``tests/test_durable.py`` holds both the
+containment and the idioms:
 
 * :class:`AppendLog` — canonical-JSONL records, one ``O_APPEND``
   ``write(2)`` each, so concurrent appenders interleave lines, never
@@ -46,8 +47,8 @@ __all__ = ["AppendLog", "LogTail", "SYSCALLS", "atomic_publish",
            "atomic_rename", "exclusive_create", "quarantine",
            "quarantine_path", "rewrite_in_place"]
 
-#: The calls this module owns: ``repro analyze crash`` (CC001) flags
-#: them anywhere else.
+#: The calls this module owns: ``tests/test_durable.py`` fails on any
+#: of them anywhere else.
 SYSCALLS = frozenset({
     "os.open", "os.write", "os.pwrite", "os.ftruncate", "os.truncate",
     "os.fsync", "os.fdatasync", "os.replace", "os.rename",

@@ -162,6 +162,39 @@ def test_serve_with_unreadable_chaos_spec(tmp_path, run_main):
     assert "chaos spec" in _diagnostic(err)
 
 
+def _policy(**fields):
+    return {"sites": [{"site": "queue.claim", **fields}]}
+
+
+@pytest.mark.parametrize("verb", ["serve", "soak"])
+@pytest.mark.parametrize("payload, field", [
+    ({"seed": "x"}, "seed"),
+    ({"seed": 1e999}, "seed"),
+    ({"seed": True}, "seed"),
+    ({"mode": 3}, "mode"),
+    (_policy(p=[1]), "p"),
+    (_policy(p=True), "p"),
+    (_policy(max_fires=None), "max_fires"),
+    (_policy(max_fires=1.5), "max_fires"),
+    (_policy(skip=2.0), "skip"),
+    ({"sites": [{"site": 1}]}, "site"),
+    (_policy(action=["kill"]), "action"),
+])
+def test_chaos_spec_field_types_are_checked(tmp_path, run_main, verb,
+                                             payload, field):
+    """A mistyped chaos-spec field is a diagnostic naming it, never a
+    traceback or a silent coercion (1.5 fires, a boolean seed)."""
+    spec = tmp_path / "chaos.json"
+    spec.write_text(json.dumps(payload))
+    svc = str(tmp_path / "svc")
+    argv = (["serve", "--dir", svc, "--drain", "--chaos", str(spec)]
+            if verb == "serve" else
+            ["chaos", "soak", svc, "--rounds", "1", "--spec", str(spec)])
+    code, _, err = run_main(argv)
+    assert code == 2
+    assert f"{field!r} must be a JSON" in _diagnostic(err)
+
+
 def test_cache_gc_without_bounds(run_main, tmp_path):
     code, _, err = run_main(
         ["cache", "gc", "--cache-dir", str(tmp_path / "cache")])

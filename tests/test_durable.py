@@ -1,22 +1,26 @@
 """repro.durable: the crash-safe file primitives.
 
 These tests carry the properties the crash analyzer used to prove per
-call site: fsync before the publishing rename, and descriptors
-released on every failure path.  AppendLog's torn-tail behaviour is
-pinned through its two users (tests/test_service_fsck.py,
-tests/test_service_telemetry.py).
+call site: no durability syscall outside this module, fsync before the
+publishing rename, and descriptors released on every failure path.
+AppendLog's torn-tail behaviour is pinned through its two users
+(tests/test_service_fsck.py, tests/test_service_telemetry.py).
 """
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import os
 import pathlib
 
 import pytest
 
+import repro
+from repro.analysis.rules import import_aliases, qualname
 from repro.chaos import ChaosInjector, ChaosSpec, SitePolicy, chaos_active
 from repro.durable import (
+    SYSCALLS,
     AppendLog,
     atomic_publish,
     atomic_rename,
@@ -25,10 +29,50 @@ from repro.durable import (
 )
 from repro.errors import CrashInjected
 
+PACKAGE_DIR = pathlib.Path(repro.__file__).resolve().parent
+FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "crashsafe"
+
 
 def _one_site(site, action="kill"):
     return ChaosInjector(ChaosSpec(sites=(SitePolicy(site=site,
                                                      action=action),)))
+
+
+# -- containment: the syscalls stay in repro/durable.py -----------------
+
+#: Module (relative to the package) -> the durability syscalls it may
+#: issue.  ChaosInjector.write performs the (possibly torn) write itself.
+SYSCALL_OWNERS = {"durable.py": SYSCALLS,
+                  "chaos/hooks.py": frozenset({"os.write"})}
+
+
+def uncontained_syscalls(root, planted=None):
+    """One ``"<module>:<line>: <call>"`` per call into
+    ``repro.durable.SYSCALLS`` that a module under ``root`` (a package
+    directory or one file) makes without owning it, import aliases
+    resolved.  ``planted`` maps a module to source appended to it."""
+    files = sorted(root.rglob("*.py")) if root.is_dir() else [root]
+    hits = []
+    for path in files:
+        module = path.relative_to(root).as_posix() if root.is_dir() \
+            else path.name
+        source = path.read_text(encoding="utf-8") + \
+            (planted or {}).get(module, "")
+        tree = ast.parse(source)
+        aliases = import_aliases(tree)
+        allowed = SYSCALL_OWNERS.get(module, frozenset())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and \
+                    qualname(node.func, aliases) in SYSCALLS - allowed:
+                hits.append(f"{module}:{node.lineno}: "
+                            f"{ast.get_source_segment(source, node)}")
+    return hits
+
+
+def test_durability_syscalls_stay_in_repro_durable():
+    assert uncontained_syscalls(PACKAGE_DIR) == []
+    assert uncontained_syscalls(FIXTURES / "cc001_neg.py") == []
+    assert len(uncontained_syscalls(FIXTURES / "cc001_pos.py")) == 5
 
 
 # -- fsync before the publishing rename ---------------------------------

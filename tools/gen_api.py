@@ -173,7 +173,8 @@ All queue state is an append-only canonical-JSONL journal plus
 leases, atomic result publication — under `$REPRO_SERVICE_DIR`
 (default `~/.local/state/repro-service`).  Every one of those writes
 goes through the primitives in `repro.durable`, the only module
-`repro analyze crash` lets issue raw durability syscalls.  Workers
+that issues raw durability syscalls (`tests/test_durable.py` fails on
+one anywhere else).  Workers
 share the queue's content-addressed run cache, so artifacts are
 byte-identical to the serial `repro experiment`/`repro export` path
 for any worker count, including after `kill -9` and lease re-claims.
@@ -201,22 +202,19 @@ def first_line(obj) -> str:
 def rules_section() -> "list[str]":
     """The static-analysis rule table, generated from the same
     registry ``repro analyze rules`` prints so it cannot drift."""
-    from repro.analysis.linter import all_rules
+    from repro.analysis.rules import RULES
 
     lines = [
         "## Static-analysis rules",
         "",
-        "Every registered lint rule (`repro analyze rules --json` is "
-        "the same catalogue as JSON); DET rules run under "
-        "`repro analyze lint`, CC rules under `repro analyze crash`.",
+        "The determinism rules `repro analyze lint` runs "
+        "(`repro analyze rules --json` is the same catalogue as JSON).",
         "",
-        "| rule | family | title |",
-        "|---|---|---|",
+        "| rule | title |",
+        "|---|---|",
     ]
-    for rule in all_rules():
-        family = ("crash-consistency" if rule.rule_id.startswith("CC")
-                  else "determinism")
-        lines.append(f"| `{rule.rule_id}` | {family} | {rule.title} |")
+    for rule in RULES:
+        lines.append(f"| `{rule.rule_id}` | {rule.title} |")
     lines.append("")
     return lines
 
