@@ -899,11 +899,20 @@ def main(argv: list[str] | None = None) -> int:
     from .errors import ReproError
 
     try:
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()
+        return code
     except ReproError as exc:
         # Library failures are user-facing diagnostics, not tracebacks.
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed the pipe (``repro ... | head``): stop
+        # quietly.  Point stdout at devnull so the interpreter's
+        # exit-time flush of what is still buffered cannot raise again.
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

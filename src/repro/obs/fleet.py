@@ -107,8 +107,39 @@ def load_slo(path: "str | os.PathLike") -> dict:
     return dict(payload)
 
 
+def _manifest(directory: str, prefix: str, out: list) -> None:
+    """Append a (path, sha256, bytes) entry per file under
+    ``directory`` in ``sorted(Path.rglob("*"))`` order: each
+    directory's entries sorted by name, descended depth-first, so
+    ``a/x.txt`` precedes ``a.json``.  Like ``rglob``, a symlinked
+    directory is not entered and a symlinked file is digested through
+    its target; a missing or non-directory path adds nothing."""
+    try:
+        entries = sorted(os.scandir(directory), key=lambda e: e.name)
+    except (FileNotFoundError, NotADirectoryError):
+        return
+    for entry in entries:
+        path = prefix + entry.name
+        if entry.is_dir(follow_symlinks=False):
+            _manifest(entry.path, path + "/", out)
+        elif entry.is_file():
+            with open(entry.path, "rb") as fh:
+                data = fh.read()
+            out.append({
+                "bytes": len(data),
+                "path": path,
+                "sha256": hashlib.sha256(data).hexdigest(),
+            })
+
+
 class FleetAggregator:
-    """One aggregation pass over a service directory's evidence."""
+    """One aggregation pass over a service directory's evidence.
+
+    A point-in-time snapshot: the journal and the spools are read once,
+    here, and :meth:`prometheus` publishes the manifest totals of this
+    aggregator's last :meth:`report` (building one only when none was),
+    so ``report_json`` + ``prometheus`` + ``chrome`` on one aggregator
+    read and digest every published file once."""
 
     def __init__(self, queue) -> None:
         self.queue = queue
@@ -123,6 +154,9 @@ class FleetAggregator:
                     "records": records, "problems": problems}
         self._records = queue.journal.records()
         self._table = queue.table()
+        #: The ``totals`` of the last :meth:`report` — kept instead of
+        #: the report itself, so no per-job data outlives a render.
+        self._totals: Optional[dict] = None
 
     @classmethod
     def from_service_dir(cls, directory: "str | os.PathLike | None" = None
@@ -160,15 +194,16 @@ class FleetAggregator:
                           in enumerate(_STATE_SPANS[state])],
                 "state": state,
             })
+        self._totals = {
+            "artifact_bytes": total_bytes,
+            "artifact_files": total_files,
+            "by_state": dict(sorted(by_state.items())),
+            "jobs": len(jobs),
+        }
         return {
             "formatVersion": REPORT_FORMAT_VERSION,
             "jobs": jobs,
-            "totals": {
-                "artifact_bytes": total_bytes,
-                "artifact_files": total_files,
-                "by_state": dict(sorted(by_state.items())),
-                "jobs": len(jobs),
-            },
+            "totals": self._totals,
         }
 
     def _artifacts(self, job_id: str, state: str) -> list:
@@ -176,19 +211,8 @@ class FleetAggregator:
         published files — the committed bytes, digested."""
         if state != "done":
             return []
-        base = self.queue.result_dir(job_id)
-        if not base.is_dir():
-            return []
-        out = []
-        for path in sorted(base.rglob("*")):
-            if not path.is_file():
-                continue
-            data = path.read_bytes()
-            out.append({
-                "bytes": len(data),
-                "path": str(path.relative_to(base)),
-                "sha256": hashlib.sha256(data).hexdigest(),
-            })
+        out: list = []
+        _manifest(str(self.queue.result_dir(job_id)), "", out)
         return out
 
     def report_json(self) -> str:
@@ -199,11 +223,14 @@ class FleetAggregator:
         instant event per committed lifecycle step on the ``service``
         layer, jobs laid end to end in id order on a logical clock."""
         tracer = Tracer()
-        for job in self.report()["jobs"]:
-            for span in job["spans"]:
-                tracer.event("service", span["name"],
+        # The spans depend only on the job id and its folded state, so
+        # the timeline reads the journal's table and no result file.
+        for job_id in sorted(self._table):
+            for lc, name in enumerate(
+                    _STATE_SPANS[self._table[job_id].state.value]):
+                tracer.event("service", name,
                              ts=tracer.advance("service"),
-                             actor=job["job"], lc=span["lc"])
+                             actor=job_id, lc=lc)
         return chrome_trace_json(
             tracer, metadata={"reportFormatVersion": REPORT_FORMAT_VERSION,
                               "source": "repro service report"})
@@ -212,14 +239,15 @@ class FleetAggregator:
         """The deterministic core as Prometheus exposition text, plus
         ``repro_obs_dropped_total`` summed from spool trace segments
         (a fleet whose rings overflowed says so here)."""
-        report = self.report()
+        totals = self._totals if self._totals is not None \
+            else self.report()["totals"]
         registry = MetricsRegistry()
-        for state, n in report["totals"]["by_state"].items():
+        for state, n in totals["by_state"].items():
             registry.gauge("service.fleet.jobs", state=state).set(n)
         registry.gauge("service.fleet.artifact_files").set(
-            report["totals"]["artifact_files"])
+            totals["artifact_files"])
         registry.gauge("service.fleet.artifact_bytes").set(
-            report["totals"]["artifact_bytes"])
+            totals["artifact_bytes"])
         tracer = Tracer()
         tracer.dropped = self._segments_dropped()
         return prometheus_text(registry, tracer=tracer)

@@ -170,6 +170,11 @@ class ServiceFsck:
         jobs_dir = self.queue.jobs_dir
         on_disk = {p.stem: p for p in sorted(jobs_dir.glob("*.json"))}
         self.checked["jobs"] = len(table)
+        # Submission texts that decoded cleanly: identical bytes decode
+        # identically, so each distinct text is decoded once per run.
+        # Failures are not kept — every job carrying a corrupt text
+        # gets its own finding.
+        decoded: set = set()
         for job_id in sorted(table):
             path = on_disk.pop(job_id, None)
             if path is None:
@@ -180,7 +185,10 @@ class ServiceFsck:
                     job=job_id)
                 continue
             try:
-                JobSpec.from_dict(json.loads(path.read_text()))
+                text = path.read_text()
+                if text not in decoded:
+                    JobSpec.from_dict(json.loads(text))
+                    decoded.add(text)
             except (OSError, ValueError, ReproError) as exc:
                 self._found(
                     "artifact-corrupt",

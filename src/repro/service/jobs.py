@@ -38,6 +38,21 @@ __all__ = ["JOB_KINDS", "JobSpec", "job_id_for", "load_jobspec"]
 JOB_KINDS = ("run", "sweep", "experiment")
 
 
+def _field(payload: Mapping, key: str, default, kind: str):
+    """``payload[key]`` (or ``default``) if it is a JSON value of
+    ``kind`` — ``"integer"``, ``"boolean"`` or ``"string"``; anything
+    else (a float, a bool where an integer belongs, a string where a
+    bool belongs) is a ConfigurationError naming the field, never a
+    coercion."""
+    value = payload.get(key, default)
+    types = {"integer": int, "boolean": bool, "string": str}[kind]
+    if not isinstance(value, types) or \
+            (kind == "integer" and isinstance(value, bool)):
+        raise ConfigurationError(
+            f"job spec: {key!r} must be a JSON {kind}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class JobSpec:
     """One frozen submission: what to execute, fully self-contained."""
@@ -106,11 +121,11 @@ class JobSpec:
         if not isinstance(specs, Sequence) or isinstance(specs, (str, bytes)):
             raise ConfigurationError("job spec: 'specs' must be a list")
         return cls(
-            kind=payload.get("kind", ""),
+            kind=_field(payload, "kind", "", "string"),
             specs=tuple(RunSpec.from_dict(s) for s in specs),
-            experiment=str(payload.get("experiment", "")),
-            fast=bool(payload.get("fast", True)),
-            seed=int(payload.get("seed", 0)),
+            experiment=_field(payload, "experiment", "", "string"),
+            fast=_field(payload, "fast", True, "boolean"),
+            seed=_field(payload, "seed", 0, "integer"),
         )
 
     def canonical_json(self) -> str:
@@ -163,10 +178,7 @@ def load_jobspec(text: str) -> JobSpec:
         if "platform" in payload:
             return JobSpec.for_specs([RunSpec.from_dict(payload)])
         if "experiment" in payload:
-            return JobSpec.for_experiment(
-                str(payload["experiment"]),
-                fast=bool(payload.get("fast", True)),
-                seed=int(payload.get("seed", 0)))
+            return JobSpec.from_dict({"kind": "experiment", **payload})
     raise ConfigurationError(
         "unrecognized submission: expected a JobSpec object (a 'kind' "
         "key), a RunSpec (a 'platform' key), an {'experiment': id} "

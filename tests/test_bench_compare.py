@@ -5,6 +5,8 @@ from __future__ import annotations
 import importlib.util
 import json
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -192,3 +194,23 @@ def test_budget_results_land_in_json_report(tmp_path):
     payload = json.loads(report.read_text())
     assert payload["budget_results"][0]["verdict"] == "ok"
     assert payload["budget_results"][0]["speedup"] == 2.0
+
+
+def test_closing_stdout_early_is_quiet(tmp_path):
+    """``bench_compare.py A B --budget ... | head -1``: the reader goes
+    away after one line of a long comparison; no traceback."""
+    timings = {f"bench_{i:05d}": 0.1 for i in range(8000)}
+    a = _write(tmp_path / "a.json", timings)
+    b = _write(tmp_path / "b.json", timings)
+    root = pathlib.Path(__file__).parent.parent
+    proc = subprocess.Popen(
+        [sys.executable, str(root / "tools" / "bench_compare.py"), a, b,
+         "--budget", str(root / "benchmarks" / "budgets.json")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"benchmark comparison")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.wait(timeout=60)
+    assert err == b""
+    assert proc.returncode == 1
+

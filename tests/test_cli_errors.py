@@ -10,11 +10,17 @@ Python-internal (tracebacks, exception class reprs) leaks out.
 from __future__ import annotations
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.platform import RunSpec, get_platform
+from repro.service import JobQueue
 
 
 @pytest.fixture
@@ -94,6 +100,32 @@ def test_submit_malformed_jobspec(tmp_path, run_main):
         ["submit", str(bad), "--dir", str(tmp_path / "svc")])
     assert code == 2
     assert "warp" in _diagnostic(err)
+
+
+@pytest.mark.parametrize("form", [{"kind": "experiment"}, {}],
+                         ids=["kind-form", "bare-form"])
+@pytest.mark.parametrize("fields,message", [
+    ({"seed": "x"}, "'seed' must be a JSON integer"),
+    ({"seed": 1.5}, "'seed' must be a JSON integer"),
+    ({"seed": True}, "'seed' must be a JSON integer"),
+    ({"fast": "no"}, "'fast' must be a JSON boolean"),
+    ({"fast": 1}, "'fast' must be a JSON boolean"),
+    ({"experiment": 7}, "'experiment' must be a JSON string"),
+    ({"kind": 3}, "'kind' must be a JSON string"),
+    ({"sed": 3}, "unknown field(s) ['sed']"),
+], ids=["seed-str", "seed-float", "seed-bool", "fast-str", "fast-int",
+        "experiment-int", "kind-int", "misspelt-key"])
+def test_submit_checks_jobspec_fields(tmp_path, run_main, form, fields,
+                                      message):
+    """Both submission forms reject a mistyped or misspelt field with a
+    diagnostic naming it, instead of a traceback or a silent coercion."""
+    spec = tmp_path / "job.json"
+    spec.write_text(json.dumps({**form, "experiment": "eq1", **fields}))
+    svc = tmp_path / "svc"
+    code, _, err = run_main(["submit", str(spec), "--dir", str(svc)])
+    assert code == 2
+    assert message in _diagnostic(err)
+    assert not list(svc.glob("jobs/*.json"))
 
 
 def test_status_unknown_job(tmp_path, run_main):
@@ -201,3 +233,25 @@ def test_cache_gc_without_bounds(run_main, tmp_path):
     assert code == 2
     assert "max-age-days" in _diagnostic(err) or \
         "max_age_days" in _diagnostic(err)
+
+
+def test_closing_stdout_early_is_quiet(tmp_path):
+    """``repro service status --dir D | head -1``: the reader goes away
+    after one line while repro still has hundreds of KiB to print;
+    repro stops without a traceback."""
+    queue = JobQueue(tmp_path / "svc", durable=False)
+    for seq in range(8000):
+        queue.journal.append({"type": "submit", "kind": "experiment",
+                              "job": f"j{seq:06d}-0123456789"})
+    src = pathlib.Path(repro.__file__).parent.parent
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "service", "status", "--dir",
+         str(queue.root)], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.stdout.readline().startswith(b"job ")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.wait(timeout=60)
+    assert err == b""
+    assert proc.returncode == 1
+

@@ -15,7 +15,8 @@ Two kinds of entries land in the file:
 * same-run pairs (``apprunner_64trials_loop`` vs
   ``..._batched``, ``mpi_fwq_dense`` vs ``..._streamed``,
   ``table2_stats_dense`` vs ``..._sparse``, ``claim_next_cold`` vs
-  ``..._memo``) — their ratio is
+  ``..._memo``, ``fleet_renders_per_aggregator`` vs ``..._shared``) —
+  their ratio is
   machine-independent, so the budget ``min_speedup``/``vs`` rules on
   them are the hard CI gates.
 """
@@ -40,6 +41,7 @@ from repro.noise import (
     pooled_fwq_stats,
     worst_nodes,
 )
+from repro.obs.fleet import FleetAggregator
 from repro.perf import RunCache, perf_context
 from repro.platform import get_platform
 from repro.platform.resolve import build, sweep_platform_apps
@@ -291,3 +293,52 @@ def test_claim_next_memoised_fold_faster_than_cold_refold(tmp_path):
     print(f"\nclaim_next on a 10^4-record journal: cold refold "
           f"{t_cold * 1e3:.2f} ms, memoised {t_memo * 1e3:.2f} ms -> "
           f"{t_cold / t_memo:.1f}x")
+
+
+def _done_dir(root: pathlib.Path, jobs: int) -> None:
+    """A drained service directory: ``jobs`` DONE jobs of four journal
+    records each, every one with a published 4 KiB result file."""
+    queue = JobQueue(root, durable=False)
+    for seq in range(jobs):
+        jobspec = JobSpec.for_experiment("eq1", seed=seq % 8)
+        job_id = job_id_for(seq, jobspec)
+        (queue.jobs_dir / f"{job_id}.json").write_text(
+            jobspec.canonical_json() + "\n")
+        queue.journal.append({"type": "submit", "job": job_id,
+                              "kind": jobspec.kind})
+        for rtype in ("claim", "run", "done"):
+            queue.journal.append({"type": rtype, "job": job_id,
+                                  "worker": "w0", "attempt": 0})
+        result = queue.result_dir(job_id)
+        result.mkdir()
+        (result / "results.json").write_bytes(
+            job_id.encode() * (4096 // len(job_id)))
+
+
+@pytest.mark.perfsmoke
+def test_fleet_renders_share_one_manifest_scan(tmp_path):
+    """Same-run pair: the three ``repro service report`` renders
+    (json, prom, chrome) each on a fresh aggregator — three CLI calls,
+    three journal reads, two manifest scans — against all three on one
+    aggregator, which reads the journal and scans the manifest once.
+    The ratio is a hard ``vs`` budget gate."""
+    _done_dir(tmp_path, jobs=1000)
+    renders = (FleetAggregator.report_json, FleetAggregator.prometheus,
+               FleetAggregator.chrome)
+
+    def per_aggregator() -> list:
+        return [render(FleetAggregator.from_service_dir(tmp_path))
+                for render in renders]
+
+    def shared() -> list:
+        agg = FleetAggregator.from_service_dir(tmp_path)
+        return [render(agg) for render in renders]
+
+    assert per_aggregator() == shared()
+    t_per = _best_of(5, per_aggregator)
+    t_shared = _best_of(5, shared)
+    _record(fleet_renders_per_aggregator=t_per,
+            fleet_renders_shared=t_shared)
+    print(f"\nfleet renders over 1000 DONE jobs: per aggregator "
+          f"{t_per * 1e3:.1f} ms, shared {t_shared * 1e3:.1f} ms -> "
+          f"{t_per / t_shared:.2f}x")

@@ -102,6 +102,37 @@ def test_artifact_missing_is_unrepairable(tmp_path):
     assert report["unrepaired"] == 1 and not report["ok"]
 
 
+def test_verify_decodes_each_distinct_submission_once(tmp_path,
+                                                      monkeypatch):
+    queue = _queue(tmp_path)
+    for experiment in ("eq1", "eq1", "eq1", "fig1", "fig1"):
+        queue.submit(JobSpec.for_experiment(experiment))
+    decoded = []
+    real = JobSpec.from_dict.__func__
+
+    def counting(cls, payload):
+        decoded.append(payload["experiment"])
+        return real(cls, payload)
+
+    monkeypatch.setattr(JobSpec, "from_dict", classmethod(counting))
+    report = verify_service(queue.root)
+    assert report["clean"] and report["checked"]["jobs"] == 5
+    assert sorted(decoded) == ["eq1", "fig1"]
+
+
+def test_a_shared_corrupt_artifact_is_a_finding_per_job(tmp_path):
+    """A failed decode is never memoised: every job carrying the bad
+    text is reported, not just the first."""
+    queue = _queue(tmp_path)
+    jobs = [queue.submit(JobSpec.for_experiment("eq1")) for _ in range(2)]
+    for job_id in jobs:
+        (queue.jobs_dir / f"{job_id}.json").write_text(
+            '{"kind": "experiment", "experiment": ""}')
+    report = verify_service(queue.root)
+    assert _checks(report) == ["artifact-corrupt"] * 2
+    assert sorted(v["job"] for v in report["violations"]) == jobs
+
+
 def test_stale_claim_on_terminal_job_quarantined(tmp_path):
     queue = _queue(tmp_path)
     job_id = queue.submit(JobSpec.for_experiment("eq1"))

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import sys
 
@@ -212,6 +213,20 @@ def render_rows(rows: list[dict]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    try:
+        code = _compare_files(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed the pipe (``... | head``): stop quietly.
+        # Point stdout at devnull so the interpreter's exit-time flush
+        # of what is still buffered cannot raise again.
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 1
+
+
+def _compare_files(argv: list[str] | None) -> int:
     parser = argparse.ArgumentParser(
         description="diff two benchmark timing files; non-zero exit on "
                     "regression")
