@@ -14,13 +14,12 @@ in this package maintains.
 
 from __future__ import annotations
 
-import json
 import os
-import pathlib
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from ..errors import ConfigurationError
+from ..jsonfields import document, get, parse, read_text
 from ..obs.export import canonical_json
 from .hooks import CRASH_POINTS, WRITE_SITES
 
@@ -44,19 +43,6 @@ ACTIONS = ("kill", "torn-write", "io-error")
 #: OS-process fleet workers (``os._exit(137)`` — no cleanup, no
 #: ``finally``, the real thing).
 MODES = ("raise", "exit")
-
-
-def _field(payload: Mapping, key: str, default, kind: str, where: str):
-    """``payload[key]`` (or ``default``) if it is a JSON value of
-    ``kind`` — ``"integer"``, ``"number"`` or ``"string"``; anything
-    else (a bool, a float integer, a list, null) is a
-    ConfigurationError naming the field, never a coercion."""
-    value = payload.get(key, default)
-    types = {"integer": int, "number": (int, float), "string": str}[kind]
-    if isinstance(value, bool) or not isinstance(value, types):
-        raise ConfigurationError(
-            f"{where}: {key!r} must be a JSON {kind}, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -110,22 +96,14 @@ class SitePolicy:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "SitePolicy":
-        if not isinstance(payload, Mapping):
-            raise ConfigurationError(
-                f"site policy must be a JSON object, got "
-                f"{type(payload).__name__}")
-        known = {"site", "action", "p", "max_fires", "skip"}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ConfigurationError(
-                f"site policy: unknown field(s) {unknown}")
         where = "site policy"
+        document(payload, where, ("site", "action", "p", "max_fires", "skip"))
         return cls(
-            site=_field(payload, "site", "", "string", where),
-            action=_field(payload, "action", "kill", "string", where),
-            p=float(_field(payload, "p", 1.0, "number", where)),
-            max_fires=_field(payload, "max_fires", 1, "integer", where),
-            skip=_field(payload, "skip", 0, "integer", where),
+            site=get(payload, "site", "string", where, ""),
+            action=get(payload, "action", "string", where, "kill"),
+            p=float(get(payload, "p", "number", where, 1.0)),
+            max_fires=get(payload, "max_fires", "integer", where, 1),
+            skip=get(payload, "skip", "integer", where, 0),
         )
 
 
@@ -164,22 +142,12 @@ class ChaosSpec:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "ChaosSpec":
-        if not isinstance(payload, Mapping):
-            raise ConfigurationError(
-                f"chaos spec must be a JSON object, got "
-                f"{type(payload).__name__}")
-        known = {"seed", "mode", "sites"}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ConfigurationError(
-                f"chaos spec: unknown field(s) {unknown}")
-        sites = payload.get("sites", ())
-        if not isinstance(sites, Sequence) or isinstance(sites, (str, bytes)):
-            raise ConfigurationError("chaos spec: 'sites' must be a list")
         where = "chaos spec"
+        document(payload, where, ("seed", "mode", "sites"))
+        sites = get(payload, "sites", "list", where, ())
         return cls(
-            seed=_field(payload, "seed", 0, "integer", where),
-            mode=_field(payload, "mode", "raise", "string", where),
+            seed=get(payload, "seed", "integer", where, 0),
+            mode=get(payload, "mode", "string", where, "raise"),
             sites=tuple(SitePolicy.from_dict(s) for s in sites),
         )
 
@@ -195,17 +163,8 @@ class ChaosSpec:
     @classmethod
     def load(cls, path: "str | os.PathLike") -> "ChaosSpec":
         """Load a spec from a JSON file (the ``--chaos FILE`` shape)."""
-        try:
-            text = pathlib.Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise ConfigurationError(
-                f"cannot read chaos spec {path}: {exc}") from exc
-        try:
-            payload = json.loads(text)
-        except ValueError as exc:
-            raise ConfigurationError(
-                f"chaos spec {path}: invalid JSON ({exc})") from exc
-        return cls.from_dict(payload)
+        text = read_text(path, "chaos spec")
+        return cls.from_dict(parse(text, f"chaos spec {path}"))
 
     @classmethod
     def everywhere(cls, action: str = "kill", p: float = 1.0,

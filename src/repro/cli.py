@@ -91,15 +91,10 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _load_spec_file(path: str):
-    from .errors import ConfigurationError
+    from .jsonfields import read_text
     from .platform import load_spec
 
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read spec {path!r}: {exc}")
-    return load_spec(text)
+    return load_spec(read_text(path, "spec"))
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
@@ -370,6 +365,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_submit(args: argparse.Namespace) -> int:
     from .errors import ConfigurationError
+    from .jsonfields import read_text
     from .service import JobQueue, JobSpec, load_jobspec
 
     if bool(args.spec) == bool(args.experiment):
@@ -381,13 +377,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
                                          fast=not args.full,
                                          seed=args.seed)
     else:
-        try:
-            with open(args.spec, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise ConfigurationError(
-                f"cannot read spec {args.spec!r}: {exc}")
-        jobspec = load_jobspec(text)
+        jobspec = load_jobspec(read_text(args.spec, "spec"))
     queue = JobQueue(args.dir)
     # Bare id on stdout so scripts can do JOB=$(repro submit ...).
     print(queue.submit(jobspec))

@@ -31,14 +31,18 @@ from dataclasses import dataclass, fields, replace
 from typing import Any, Mapping
 
 from ..errors import ConfigurationError
+from ..jsonfields import check, document, parse
 
-#: Field name -> (kind, human description) for validation/docs.
-_RATE_FIELDS = (
-    "node_mtbf_hours",
-    "oom_per_node_hour",
-    "proxy_crash_per_node_hour",
-    "daemon_stall_per_node_hour",
-)
+#: The number fields (each >= 0) and the integer fields, with their
+#: dotted names in a platform spec.
+_NUMBER_FIELDS = tuple((name, f"faults.{name}") for name in (
+    "node_mtbf_hours", "oom_per_node_hour", "proxy_crash_per_node_hour",
+    "daemon_stall_per_node_hour", "daemon_stall_seconds", "backoff_base",
+    "checkpoint_interval", "checkpoint_cost", "ikc_timeout",
+    "ikc_drop_prob", "backoff_factor"))
+_INTEGER_FIELDS = tuple((name, f"faults.{name}") for name in (
+    "ikc_max_redeliveries", "max_retries", "seed"))
+_FIELDS = tuple(name for name, _ in _NUMBER_FIELDS + _INTEGER_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -89,46 +93,23 @@ class FaultSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in _RATE_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigurationError(
-                    f"faults.{name}: expected number, got {value!r}")
+        for name, dotted in _NUMBER_FIELDS:
+            value = float(check(getattr(self, name), "number",
+                                "platform spec", dotted))
             if value < 0:
                 raise ConfigurationError(
-                    f"faults.{name}: must be >= 0, got {value!r}")
-            object.__setattr__(self, name, float(value))
-        for name in ("daemon_stall_seconds", "backoff_base",
-                     "checkpoint_interval", "checkpoint_cost",
-                     "ikc_timeout"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigurationError(
-                    f"faults.{name}: expected number, got {value!r}")
-            if value < 0:
-                raise ConfigurationError(
-                    f"faults.{name}: must be >= 0, got {value!r}")
-            object.__setattr__(self, name, float(value))
-        if not isinstance(self.ikc_drop_prob, (int, float)) or \
-                isinstance(self.ikc_drop_prob, bool):
-            raise ConfigurationError(
-                f"faults.ikc_drop_prob: expected number, "
-                f"got {self.ikc_drop_prob!r}")
+                    f"{dotted}: must be >= 0, got {value!r}")
+            object.__setattr__(self, name, value)
+        for name, dotted in _INTEGER_FIELDS:
+            check(getattr(self, name), "integer", "platform spec", dotted)
         if not 0.0 <= self.ikc_drop_prob < 1.0:
             raise ConfigurationError(
                 f"faults.ikc_drop_prob: must be in [0, 1), "
                 f"got {self.ikc_drop_prob!r}")
-        object.__setattr__(self, "ikc_drop_prob", float(self.ikc_drop_prob))
         if self.backoff_factor < 1.0:
             raise ConfigurationError(
                 f"faults.backoff_factor: must be >= 1, "
                 f"got {self.backoff_factor!r}")
-        object.__setattr__(self, "backoff_factor", float(self.backoff_factor))
-        for name in ("max_retries", "ikc_max_redeliveries", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigurationError(
-                    f"faults.{name}: expected int, got {value!r}")
         if self.max_retries < 0 or self.ikc_max_redeliveries < 0:
             raise ConfigurationError("faults: retry counts must be >= 0")
 
@@ -163,17 +144,8 @@ class FaultSpec:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "FaultSpec":
-        if not isinstance(payload, Mapping):
-            raise ConfigurationError(
-                f"faults: expected a JSON object, "
-                f"got {type(payload).__name__}")
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ConfigurationError(
-                f"faults: unknown field(s) {unknown} "
-                f"(known: {sorted(known)})")
-        return cls(**dict(payload))
+        document(payload, "platform spec", _FIELDS, name="faults")
+        return cls(**payload)
 
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=indent,
@@ -181,8 +153,4 @@ class FaultSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "FaultSpec":
-        try:
-            payload = json.loads(text)
-        except ValueError as exc:
-            raise ConfigurationError(f"invalid JSON: {exc}") from None
-        return cls.from_dict(payload)
+        return cls.from_dict(parse(text, "fault spec"))

@@ -32,12 +32,12 @@ through :func:`~repro.obs.export.prometheus_text`.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
-import pathlib
 from typing import Optional
 
 from ..errors import ConfigurationError, ServiceError
+from ..jsonfields import check, document, parse, read_text
+from ..service.journal import fold_records
 from .export import canonical_json, chrome_trace_json, prometheus_text
 from .metrics import MetricsRegistry
 from .spool import read_spool, spool_dir
@@ -78,32 +78,14 @@ _STATE_SPANS = {
 
 def load_slo(path: "str | os.PathLike") -> dict:
     """Load an SLO rule file (JSON object; keys from
-    :data:`DEFAULT_SLO`, values numeric).  Unknown keys are a
-    :class:`~repro.errors.ConfigurationError` so a typo never silently
-    disables a rule."""
-    try:
-        text = pathlib.Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigurationError(
-            f"cannot read SLO rules {path}: {exc}") from exc
-    try:
-        payload = json.loads(text)
-    except ValueError as exc:
-        raise ConfigurationError(
-            f"SLO rules {path}: invalid JSON ({exc})") from exc
-    if not isinstance(payload, dict):
-        raise ConfigurationError(
-            f"SLO rules {path}: expected a JSON object")
-    unknown = sorted(set(payload) - set(DEFAULT_SLO))
-    if unknown:
-        raise ConfigurationError(
-            f"SLO rules {path}: unknown rule(s) {unknown}; "
-            f"known: {sorted(DEFAULT_SLO)}")
+    :data:`DEFAULT_SLO`, values finite JSON numbers).  Unknown keys and
+    ``NaN`` are a :class:`~repro.errors.ConfigurationError`, so a typo
+    never silently disables a rule."""
+    where = f"SLO rules {path}"
+    payload = document(parse(read_text(path, "SLO rules"), where), where,
+                       DEFAULT_SLO, item="rule")
     for key, value in payload.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigurationError(
-                f"SLO rules {path}: {key} must be a number, "
-                f"got {value!r}")
+        check(value, "number", where, key)
     return dict(payload)
 
 
@@ -152,8 +134,12 @@ class FleetAggregator:
                 records, problems = read_spool(path)
                 self.spools[path.name[:-len(".jsonl")]] = {
                     "records": records, "problems": problems}
-        self._records = queue.journal.records()
-        self._table = queue.table()
+        # One read serves the rollups and the job table, so both come
+        # from the same bytes.
+        tail = queue.journal.read()
+        self._records = tail.records
+        self._table: dict = {}
+        fold_records(self._table, tail, queue.journal.path)
         #: The ``totals`` of the last :meth:`report` — kept instead of
         #: the report itself, so no per-job data outlives a render.
         self._totals: Optional[dict] = None

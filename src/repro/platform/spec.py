@@ -29,6 +29,7 @@ from typing import Any, Callable, Mapping
 from ..errors import ConfigurationError
 from ..faults.spec import FaultSpec
 from ..hardware.machines import Machine, a64fx_testbed, fugaku, oakforest_pacs
+from ..jsonfields import check, document, get, parse
 from ..kernel.tuning import (
     LinuxTuning,
     fugaku_production,
@@ -60,10 +61,12 @@ MACHINE_OVERRIDE_FIELDS: dict[str, type] = {
 }
 
 
-def _type_error(field_name: str, expected: str, value: Any) -> ConfigurationError:
-    return ConfigurationError(
-        f"{field_name}: expected {expected}, got {value!r}"
-    )
+#: Scalar field type -> the JSON kind an override value must be.
+_KIND = {bool: "boolean", float: "number", int: "integer", str: "string"}
+
+#: The null fault scenario :meth:`PlatformSpec.to_dict` leaves out,
+#: built once: every canonical JSON compares against it.
+_NO_FAULTS = FaultSpec.none()
 
 
 @functools.cache
@@ -96,23 +99,8 @@ def _decode_value(field_name: str, expected: type, value: Any) -> Any:
                 f"{expected.__qualname__} "
                 f"(one of {sorted(m.value for m in expected)})"
             ) from None
-    if expected is bool:
-        if not isinstance(value, bool):
-            raise _type_error(field_name, "bool", value)
-        return value
-    if expected is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise _type_error(field_name, "number", value)
-        return float(value)
-    if expected is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise _type_error(field_name, "int", value)
-        return value
-    if expected is str:
-        if not isinstance(value, str):
-            raise _type_error(field_name, "str", value)
-        return value
-    raise _type_error(field_name, expected.__name__, value)
+    value = check(value, _KIND[expected], "platform spec", field_name)
+    return float(value) if expected is float else value
 
 
 @dataclass(frozen=True)
@@ -132,14 +120,11 @@ class NoiseSwitches:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "NoiseSwitches":
-        unknown = sorted(set(payload) - {"include_stragglers"})
-        if unknown:
-            raise ConfigurationError(
-                f"noise: unknown field(s) {unknown}"
-            )
-        value = payload.get("include_stragglers", True)
-        return cls(include_stragglers=_decode_value(
-            "noise.include_stragglers", bool, value))
+        where = "platform spec"
+        document(payload, where, ("include_stragglers",), name="noise")
+        return cls(include_stragglers=get(
+            payload, "include_stragglers", "boolean", where, True,
+            prefix="noise."))
 
 
 @dataclass(frozen=True)
@@ -166,19 +151,14 @@ class McKernelSwitches:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "McKernelSwitches":
-        known = {"memory_fraction", "picodriver"}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ConfigurationError(
-                f"mckernel: unknown field(s) {unknown}"
-            )
+        where = "platform spec"
+        document(payload, where, ("memory_fraction", "picodriver"),
+                 name="mckernel")
         return cls(
-            memory_fraction=_decode_value(
-                "mckernel.memory_fraction", float,
-                payload.get("memory_fraction", 0.9)),
-            picodriver=_decode_value(
-                "mckernel.picodriver", bool,
-                payload.get("picodriver", True)),
+            memory_fraction=float(get(payload, "memory_fraction", "number",
+                                      where, 0.9, prefix="mckernel.")),
+            picodriver=get(payload, "picodriver", "boolean", where, True,
+                           prefix="mckernel."),
         )
 
 
@@ -357,32 +337,24 @@ class PlatformSpec:
             "noise": self.noise.to_dict(),
             "mckernel": self.mckernel.to_dict(),
         }
-        if self.faults != FaultSpec.none():
+        if self.faults != _NO_FAULTS:
             payload["faults"] = self.faults.to_dict()
         return payload
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "PlatformSpec":
-        if not isinstance(payload, Mapping):
-            raise ConfigurationError(
-                f"platform spec must be a JSON object, got "
-                f"{type(payload).__name__}")
-        unknown = sorted(set(payload) - set(_PLATFORM_FIELDS))
-        if unknown:
-            raise ConfigurationError(
-                f"unknown platform spec field(s) {unknown} "
-                f"(known: {sorted(_PLATFORM_FIELDS)})")
-        for required in ("name", "machine"):
-            if required not in payload:
-                raise ConfigurationError(
-                    f"{required}: required field missing")
+        where = "platform spec"
+        document(payload, where, _PLATFORM_FIELDS)
         return cls(
-            name=payload["name"],
-            machine=payload["machine"],
-            os_kind=payload.get("os_kind", "linux"),
-            tuning=payload.get("tuning", "fugaku-production"),
-            tuning_overrides=payload.get("tuning_overrides", {}),
-            machine_overrides=payload.get("machine_overrides", {}),
+            name=get(payload, "name", "string", where),
+            machine=get(payload, "machine", "string", where),
+            os_kind=get(payload, "os_kind", "string", where, "linux"),
+            tuning=get(payload, "tuning", "string", where,
+                       "fugaku-production"),
+            tuning_overrides=get(payload, "tuning_overrides", "object",
+                                 where, {}),
+            machine_overrides=get(payload, "machine_overrides", "object",
+                                  where, {}),
             noise=NoiseSwitches.from_dict(payload.get("noise", {})),
             mckernel=McKernelSwitches.from_dict(
                 payload.get("mckernel", {})),
@@ -398,11 +370,7 @@ class PlatformSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "PlatformSpec":
-        try:
-            payload = json.loads(text)
-        except ValueError as exc:
-            raise ConfigurationError(f"invalid JSON: {exc}") from None
-        return cls.from_dict(payload)
+        return cls.from_dict(parse(text, "platform spec"))
 
     def canonical_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True,
@@ -435,14 +403,12 @@ class RunSpec:
                 f"app: unknown application {self.app!r} "
                 f"(known: {sorted(ALL_PROFILES)})")
         for field_name in ("n_nodes", "n_runs"):
-            value = getattr(self, field_name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise _type_error(field_name, "int", value)
+            value = check(getattr(self, field_name), "integer", "run spec",
+                          field_name)
             if value <= 0:
                 raise ConfigurationError(
                     f"{field_name}: must be positive, got {value}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise _type_error("seed", "int", self.seed)
+        check(self.seed, "integer", "run spec", "seed")
 
     # -- serialization ---------------------------------------------------
 
@@ -457,23 +423,13 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "RunSpec":
-        if not isinstance(payload, Mapping):
-            raise ConfigurationError(
-                f"run spec must be a JSON object, got "
-                f"{type(payload).__name__}")
-        unknown = sorted(set(payload) - set(_RUN_FIELDS))
-        if unknown:
-            raise ConfigurationError(
-                f"unknown run spec field(s) {unknown} "
-                f"(known: {sorted(_RUN_FIELDS)})")
-        for required in ("platform", "app", "n_nodes"):
-            if required not in payload:
-                raise ConfigurationError(
-                    f"{required}: required field missing")
+        where = "run spec"
+        document(payload, where, _RUN_FIELDS)
         return cls(
-            platform=PlatformSpec.from_dict(payload["platform"]),
-            app=payload["app"],
-            n_nodes=payload["n_nodes"],
+            platform=PlatformSpec.from_dict(
+                get(payload, "platform", "object", where)),
+            app=get(payload, "app", "string", where),
+            n_nodes=get(payload, "n_nodes", "integer", where),
             n_runs=payload.get("n_runs", 3),
             seed=payload.get("seed", 0),
         )
@@ -485,11 +441,7 @@ class RunSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "RunSpec":
-        try:
-            payload = json.loads(text)
-        except ValueError as exc:
-            raise ConfigurationError(f"invalid JSON: {exc}") from None
-        return cls.from_dict(payload)
+        return cls.from_dict(parse(text, "run spec"))
 
     def canonical_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True,
@@ -506,12 +458,7 @@ class RunSpec:
 def load_spec(text: str) -> "PlatformSpec | RunSpec":
     """Parse a JSON document as a RunSpec (if it has a ``platform``
     key) or a PlatformSpec."""
-    try:
-        payload = json.loads(text)
-    except ValueError as exc:
-        raise ConfigurationError(f"invalid JSON: {exc}") from None
-    if not isinstance(payload, dict):
-        raise ConfigurationError("spec must be a JSON object")
-    if "platform" in payload:
+    payload = parse(text, "spec")
+    if isinstance(payload, Mapping) and "platform" in payload:
         return RunSpec.from_dict(payload)
     return PlatformSpec.from_dict(payload)

@@ -24,11 +24,11 @@ construction).
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from ..errors import ConfigurationError
+from ..jsonfields import document, get, parse
 from ..obs.export import canonical_json
 from ..platform.spec import RunSpec
 
@@ -37,20 +37,7 @@ __all__ = ["JOB_KINDS", "JobSpec", "job_id_for", "load_jobspec"]
 #: The accepted submission kinds.
 JOB_KINDS = ("run", "sweep", "experiment")
 
-
-def _field(payload: Mapping, key: str, default, kind: str):
-    """``payload[key]`` (or ``default``) if it is a JSON value of
-    ``kind`` — ``"integer"``, ``"boolean"`` or ``"string"``; anything
-    else (a float, a bool where an integer belongs, a string where a
-    bool belongs) is a ConfigurationError naming the field, never a
-    coercion."""
-    value = payload.get(key, default)
-    types = {"integer": int, "boolean": bool, "string": str}[kind]
-    if not isinstance(value, types) or \
-            (kind == "integer" and isinstance(value, bool)):
-        raise ConfigurationError(
-            f"job spec: {key!r} must be a JSON {kind}, got {value!r}")
-    return value
+_JOB_FIELDS = ("kind", "specs", "experiment", "fast", "seed")
 
 
 @dataclass(frozen=True)
@@ -109,23 +96,15 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "JobSpec":
-        if not isinstance(payload, Mapping):
-            raise ConfigurationError(
-                f"job spec must be a JSON object, got "
-                f"{type(payload).__name__}")
-        known = {"kind", "specs", "experiment", "fast", "seed"}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ConfigurationError(f"job spec: unknown field(s) {unknown}")
-        specs = payload.get("specs", ())
-        if not isinstance(specs, Sequence) or isinstance(specs, (str, bytes)):
-            raise ConfigurationError("job spec: 'specs' must be a list")
+        where = "job spec"
+        document(payload, where, _JOB_FIELDS)
+        specs = get(payload, "specs", "list", where, ())
         return cls(
-            kind=_field(payload, "kind", "", "string"),
+            kind=get(payload, "kind", "string", where, ""),
             specs=tuple(RunSpec.from_dict(s) for s in specs),
-            experiment=_field(payload, "experiment", "", "string"),
-            fast=_field(payload, "fast", True, "boolean"),
-            seed=_field(payload, "seed", 0, "integer"),
+            experiment=get(payload, "experiment", "string", where, ""),
+            fast=get(payload, "fast", "boolean", where, True),
+            seed=get(payload, "seed", "integer", where, 0),
         )
 
     def canonical_json(self) -> str:
@@ -166,10 +145,7 @@ def load_jobspec(text: str) -> JobSpec:
     by ``repro run``), or a bare list of RunSpecs (a sweep) — so any
     spec file that works one-shot also submits as a job.
     """
-    try:
-        payload = json.loads(text)
-    except ValueError as exc:
-        raise ConfigurationError(f"invalid JSON: {exc}") from exc
+    payload = parse(text, "job spec")
     if isinstance(payload, list):
         return JobSpec.for_specs([RunSpec.from_dict(p) for p in payload])
     if isinstance(payload, Mapping):

@@ -36,11 +36,11 @@ import pathlib
 import threading
 from dataclasses import dataclass
 
-from ..durable import AppendLog
+from ..durable import AppendLog, LogTail
 from ..errors import JournalCorruptionError
 
 __all__ = ["CLAIMABLE", "FOLD", "JobState", "JobView", "Journal",
-           "JournalFold", "TERMINAL"]
+           "JournalFold", "TERMINAL", "fold_records"]
 
 
 class JobState(enum.Enum):
@@ -128,6 +128,37 @@ FOLD = {"submit": _submit, "claim": _claim, "run": _run, "retry": _retry,
         "done": _done, "fail": _fail}
 
 
+def fold_records(views: dict[str, JobView], tail: LogTail,
+                 path: "str | os.PathLike") -> int:
+    """Fold ``tail``'s records through :data:`FOLD` into ``views``
+    (job id -> view, in first-record order); returns the number of
+    ``submit`` records.  A record with an unknown type, no job id or a
+    malformed field raises :class:`~repro.errors.JournalCorruptionError`
+    naming its line in ``path``; ``views`` is then partly folded."""
+    submits = 0
+    for record, number in zip(tail.records, tail.numbers):
+        rtype = record.get("type")
+        # A non-string type (a list is unhashable) is unknown too.
+        handler = FOLD.get(rtype) if isinstance(rtype, str) else None
+        job_id = record.get("job")
+        if handler is None or not isinstance(job_id, str) or not job_id:
+            problem = "no job id" if handler is not None else \
+                f"unknown record type {rtype!r}"
+            raise JournalCorruptionError(
+                f"{path}:{number}: {problem} in the journal")
+        view = views.get(job_id)
+        if view is None:
+            view = views[job_id] = JobView(job_id)
+        try:
+            handler(view, record)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise JournalCorruptionError(
+                f"{path}:{number}: malformed {rtype!r} record ({exc}) "
+                "in the journal") from None
+        submits += rtype == "submit"
+    return submits
+
+
 class Journal:
     """One append-only JSONL file of state-transition records.
 
@@ -156,18 +187,23 @@ class Journal:
         """
         self.log.append(record)
 
-    def records(self) -> list[dict]:
-        """Every intact record, in append order.
+    def read(self) -> LogTail:
+        """The whole journal in one read: every intact record in
+        append order, with its line number.
 
         A missing file is an empty journal.  A torn final segment is
         skipped; an unparseable complete line raises
         :class:`~repro.errors.JournalCorruptionError`.
         """
-        records, damaged, _ = self.log.read()
-        if damaged:
+        tail = self.log.read_from()
+        if tail.damaged:
             raise JournalCorruptionError(
-                f"{self.path}:{damaged[0]} in the journal")
-        return records
+                f"{self.path}:{tail.damaged[0]} in the journal")
+        return tail
+
+    def records(self) -> list[dict]:
+        """Every intact record, in append order (see :meth:`read`)."""
+        return self.read().records
 
     def __len__(self) -> int:
         return len(self.records())
@@ -220,39 +256,13 @@ class JournalFold:
                 raise JournalCorruptionError(
                     f"{self.journal.path}:{tail.damaged[0]} in the journal")
             try:
-                self._fold(tail.records, tail.numbers)
+                self.submits += fold_records(self.views, tail,
+                                             self.journal.path)
             except BaseException:
                 # Some of the chunk is folded: start over next time.
                 self._reset()
                 raise
+            self.records += len(tail.records)
             self.ino, self.offset, self.line = \
                 tail.ino, tail.offset, tail.line
             return self
-
-    def _fold(self, records: list[dict], numbers: list[int]) -> None:
-        views = self.views
-        submits = 0
-        for record, number in zip(records, numbers):
-            rtype = record.get("type")
-            # A non-string type (a list is unhashable) is unknown too.
-            handler = FOLD.get(rtype) if isinstance(rtype, str) else None
-            job_id = record.get("job")
-            if handler is None or not isinstance(job_id, str) \
-                    or not job_id:
-                problem = "no job id" if handler is not None else \
-                    f"unknown record type {rtype!r}"
-                raise JournalCorruptionError(
-                    f"{self.journal.path}:{number}: {problem} in the "
-                    "journal")
-            view = views.get(job_id)
-            if view is None:
-                view = views[job_id] = JobView(job_id)
-            try:
-                handler(view, record)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise JournalCorruptionError(
-                    f"{self.journal.path}:{number}: malformed "
-                    f"{rtype!r} record ({exc}) in the journal") from None
-            submits += rtype == "submit"
-        self.submits += submits
-        self.records += len(records)

@@ -87,6 +87,20 @@ def test_unreadable_spec_file(tmp_path, run_main):
     assert "absent.json" in _diagnostic(err)
 
 
+@pytest.mark.parametrize("verb", ["run", "submit", "serve"])
+def test_spec_file_that_is_not_utf8(tmp_path, run_main, verb):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"name": "caf\xe9"}')
+    svc = str(tmp_path / "svc")
+    argv = {"run": ["run", str(bad)],
+            "submit": ["submit", str(bad), "--dir", svc],
+            "serve": ["serve", "--dir", svc, "--drain", "--chaos",
+                      str(bad)]}[verb]
+    code, _, err = run_main(argv)
+    assert code == 2
+    assert "latin1.json" in _diagnostic(err)
+
+
 def test_platform_show_unknown_name(run_main):
     code, _, err = run_main(["platform", "show", "nonesuch"])
     assert code == 2
@@ -225,6 +239,46 @@ def test_chaos_spec_field_types_are_checked(tmp_path, run_main, verb,
     code, _, err = run_main(argv)
     assert code == 2
     assert f"{field!r} must be a JSON" in _diagnostic(err)
+
+
+_PLATFORM = {"name": "x", "machine": "fugaku"}
+
+
+@pytest.mark.parametrize("verb", ["validate", "submit"])
+@pytest.mark.parametrize("platform, run, field", [
+    ({"machine": []}, {}, "machine"),
+    ({"tuning": ["a"]}, {}, "tuning"),
+    ({"tuning_overrides": "ab"}, {}, "tuning_overrides"),
+    ({"noise": 5}, {}, "noise"),
+    ({}, {"app": ["a"]}, "app"),
+    ({}, {"app": {}}, "app"),
+    ({"faults": {"backoff_factor": "x"}}, {}, "faults.backoff_factor"),
+    ({"faults": {"backoff_factor": True}}, {}, "faults.backoff_factor"),
+    ({"faults": {"node_mtbf_hours": float("nan")}}, {},
+     "faults.node_mtbf_hours"),
+    ({"faults": {"ikc_timeout": float("inf")}}, {}, "faults.ikc_timeout"),
+    ({"faults": {"checkpoint_cost": 1e999}}, {}, "faults.checkpoint_cost"),
+], ids=["machine-list", "tuning-list", "overrides-str", "noise-int",
+        "app-list", "app-object", "backoff-str", "backoff-bool",
+        "rate-nan", "timeout-inf", "cost-1e999"])
+def test_platform_and_run_spec_field_types_are_checked(
+        tmp_path, run_main, verb, platform, run, field):
+    """A mistyped or non-finite platform/run-spec field is a diagnostic
+    naming it, never a traceback or a silent read (``true`` as a
+    backoff factor of 1.0, ``NaN`` as a rate)."""
+    platform = {**_PLATFORM, **platform}
+    run_doc = {"platform": platform, "app": "Milc", "n_nodes": 64, **run}
+    spec = tmp_path / "spec.json"
+    # json.dumps writes NaN/Infinity, which json.loads reads back.
+    spec.write_text(json.dumps(
+        platform if verb == "validate" and not run else run_doc))
+    svc = tmp_path / "svc"
+    argv = (["platform", "validate", str(spec)] if verb == "validate"
+            else ["submit", str(spec), "--dir", str(svc)])
+    code, _, err = run_main(argv)
+    assert code == 2
+    assert f"{field!r} must be a JSON" in _diagnostic(err)
+    assert not list(svc.glob("jobs/*.json"))
 
 
 def test_cache_gc_without_bounds(run_main, tmp_path):

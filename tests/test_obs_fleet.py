@@ -17,7 +17,11 @@ import sys
 
 import pytest
 
-from repro.errors import ConfigurationError, ServiceError
+from repro.errors import (
+    ConfigurationError,
+    JournalCorruptionError,
+    ServiceError,
+)
 from repro.faults.tolerance import RetryPolicy
 from repro.obs.export import ensure_valid_chrome_trace
 from repro.obs.fleet import DEFAULT_SLO, FleetAggregator, load_slo
@@ -212,6 +216,28 @@ def test_chrome_alone_reads_no_result_file(tmp_path, monkeypatch):
     assert calls == []
 
 
+def test_an_aggregator_reads_the_journal_once(tmp_path, monkeypatch):
+    """The rollups and the job table come from one read of the
+    journal's bytes, and a corrupt record still fails the load."""
+    from repro.durable import AppendLog
+
+    queue = _golden_service(tmp_path / "svc")
+    reads = []
+    read_from = AppendLog.read_from
+
+    def counted(log, *args, **kwargs):
+        reads.append(log.path)
+        return read_from(log, *args, **kwargs)
+
+    monkeypatch.setattr(AppendLog, "read_from", counted)
+    agg = FleetAggregator(queue)
+    assert reads.count(queue.journal.path) == 1
+    assert agg.rollups()["submits"] == agg.report()["totals"]["jobs"] == 5
+    queue.journal.append({"type": "frobnicate", "job": "j9"})
+    with pytest.raises(JournalCorruptionError, match="frobnicate"):
+        FleetAggregator(queue)
+
+
 # -- rollups ------------------------------------------------------------
 
 
@@ -287,7 +313,12 @@ def test_load_slo_validates_the_rule_file(tmp_path):
     with pytest.raises(ConfigurationError, match="unknown rule"):
         load_slo(path)
     path.write_text('{"min_goodput": true}')
-    with pytest.raises(ConfigurationError, match="must be a number"):
+    with pytest.raises(ConfigurationError, match="must be a JSON number"):
+        load_slo(path)
+    # NaN compares false with everything, so it would turn the rule off.
+    path.write_text('{"max_retry_rate": NaN}')
+    with pytest.raises(ConfigurationError,
+                       match="'max_retry_rate' must be a JSON number"):
         load_slo(path)
 
 

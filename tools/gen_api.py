@@ -23,6 +23,7 @@ PACKAGES = [
     "repro.engine",
     "repro.service",
     "repro.durable",
+    "repro.jsonfields",
     "repro.chaos",
     "repro.perf",
     "repro.obs",
