@@ -12,7 +12,7 @@ The package has three layers:
 * :mod:`repro.chaos.spec` — the frozen, JSON-round-trippable schedule.
 * :mod:`repro.chaos.hooks` — the crash-point catalogue and the ambient
   :class:`ChaosInjector` (zero overhead when off, mirroring the tracer
-  and race-detector hooks).
+  hooks).
 * :mod:`repro.chaos.soak` — the crash/restart/fsck loop that drives a
   worker fleet through a seeded crash schedule and asserts the service
   converges to byte-identical artifacts.

@@ -8,8 +8,7 @@ would leave observable on-disk state — an orphan claim file, a torn
 journal line, a published-but-unacked result — and the injector can
 make exactly that state happen on demand, reproducibly.
 
-Design constraints, mirroring :func:`~repro.obs.tracer.get_tracer` and
-:func:`~repro.analysis.race.get_race_detector`:
+Design constraints, mirroring :func:`~repro.obs.tracer.get_tracer`:
 
 * **Zero overhead when off.**  Sites consult the ambient injector
   (:func:`get_chaos`) and bail on ``None`` — one module-global read

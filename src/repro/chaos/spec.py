@@ -122,6 +122,8 @@ class ChaosSpec:
         if self.mode not in MODES:
             raise ConfigurationError(
                 f"unknown chaos mode {self.mode!r}; known: {list(MODES)}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed: must be >= 0, got {self.seed}")
         seen = set()
         for policy in self.sites:
             if not isinstance(policy, SitePolicy):

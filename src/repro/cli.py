@@ -66,6 +66,19 @@ def _auto_jobs() -> int:
         return max(1, os.cpu_count() or 1)
 
 
+def _seed(text: str) -> int:
+    """The argparse type of every ``--seed``: a non-negative integer,
+    the range every spec's ``seed`` field takes."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
 def _make_cache(args: argparse.Namespace):
     from .perf.cache import RunCache
 
@@ -166,7 +179,12 @@ def _cmd_platform(args: argparse.Namespace) -> int:
         from .platform import RunSpec
 
         platform = spec.platform if isinstance(spec, RunSpec) else spec
-        build(platform)
+        resolved = build(platform)
+        if isinstance(spec, RunSpec):
+            # The range ``repro run`` applies to the same cell.
+            from .runtime.runner import check_run_args
+
+            check_run_args(resolved.machine, spec.n_nodes, spec.n_runs)
         print(f"{args.name}: valid {kind} ({platform.name!r})")
         if isinstance(spec, RunSpec):
             print(f"fingerprint: {spec.fingerprint()}")
@@ -546,21 +564,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             prune_baseline=args.prune_baseline,
         )
 
-    if args.analyze_cmd == "rules":
-        from .analysis.linter import run_rules
+    # analyze rules
+    from .analysis.linter import run_rules
 
-        return run_rules(
-            output_format="json" if args.json else "text")
-
-    # analyze race
-    from .analysis.runrace import analyze_races
-
-    run = analyze_races(args.id, fast=not args.full, seed=args.seed,
-                        node_slice=not args.no_node_slice)
-    print(run.report())
-    if args.out:
-        print(f"race report -> {run.write(args.out)}")
-    return 0 if run.clean else 1
+    return run_rules(output_format="json" if args.json else "text")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -577,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="run paper experiments")
     p_exp.add_argument("ids", nargs="+", help="experiment ids (see list)")
     p_exp.add_argument("--full", action="store_true")
-    p_exp.add_argument("--seed", type=int, default=0)
+    p_exp.add_argument("--seed", type=_seed, default=0)
     p_exp.add_argument("--jobs", type=int, default=1, metavar="N",
                        help="worker processes for sweep cells "
                             "(0 = one per available CPU; default 1)")
@@ -609,7 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--app", help="application (with a platform spec)")
     p_run.add_argument("--nodes", type=int, default=1024)
     p_run.add_argument("--runs", type=int, default=3)
-    p_run.add_argument("--seed", type=int, default=0)
+    p_run.add_argument("--seed", type=_seed, default=0)
     p_run.add_argument("--no-cache", action="store_true",
                        help="disable the memoized run cache")
     p_run.add_argument("--cache-dir", metavar="DIR",
@@ -637,7 +644,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(fugaku, ofp, ...; see 'platform list')")
     p_cmp.add_argument("--nodes", type=int, default=1024)
     p_cmp.add_argument("--runs", type=int, default=3)
-    p_cmp.add_argument("--seed", type=int, default=0)
+    p_cmp.add_argument("--seed", type=_seed, default=0)
 
     p_exp_out = sub.add_parser(
         "export", help="run experiments and write JSON/CSV/text outputs")
@@ -645,7 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp_out.add_argument("ids", nargs="*",
                            help="experiment ids (default: all)")
     p_exp_out.add_argument("--full", action="store_true")
-    p_exp_out.add_argument("--seed", type=int, default=0)
+    p_exp_out.add_argument("--seed", type=_seed, default=0)
 
     p_trace = sub.add_parser(
         "trace", help="record or summarize cross-layer traces")
@@ -659,7 +666,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr_run.add_argument("--jsonl", metavar="FILE",
                           help="also write the raw event log as JSONL")
     p_tr_run.add_argument("--full", action="store_true")
-    p_tr_run.add_argument("--seed", type=int, default=0)
+    p_tr_run.add_argument("--seed", type=_seed, default=0)
     p_tr_run.add_argument("--jobs", type=int, default=1, metavar="N",
                           help="worker processes (0 = one per CPU); the "
                                "trace bytes are identical for any value")
@@ -681,13 +688,13 @@ def build_parser() -> argparse.ArgumentParser:
         "metrics", help="run experiments, dump Prometheus-format metrics")
     p_metrics.add_argument("ids", nargs="+", help="experiment ids")
     p_metrics.add_argument("--full", action="store_true")
-    p_metrics.add_argument("--seed", type=int, default=0)
+    p_metrics.add_argument("--seed", type=_seed, default=0)
     p_metrics.add_argument("--jobs", type=int, default=1, metavar="N")
     p_metrics.add_argument("--no-cache", action="store_true")
     p_metrics.add_argument("--cache-dir", metavar="DIR")
 
     p_ana = sub.add_parser(
-        "analyze", help="determinism lint and simulated-race detection")
+        "analyze", help="determinism lint")
     ana_sub = p_ana.add_subparsers(dest="analyze_cmd", required=True)
     p_lint = ana_sub.add_parser(
         "lint", help="run the determinism sanitizer (DET001..DET010)")
@@ -708,16 +715,6 @@ def build_parser() -> argparse.ArgumentParser:
         "rules", help="list the determinism lint rules (DET001..DET010)")
     p_rules.add_argument("--json", action="store_true",
                          help="canonical-JSON catalogue on stdout")
-    p_race = ana_sub.add_parser(
-        "race", help="run one experiment under the race detector")
-    p_race.add_argument("id", help="experiment id (see list)")
-    p_race.add_argument("--full", action="store_true")
-    p_race.add_argument("--seed", type=int, default=0)
-    p_race.add_argument("--out", metavar="FILE",
-                        help="also write the canonical JSON race report")
-    p_race.add_argument("--no-node-slice", action="store_true",
-                        help="skip the synthetic node slice; observe "
-                             "only what the experiment itself exercises")
 
     service_dir_help = ("service directory (default: $REPRO_SERVICE_DIR "
                         "or ~/.local/state/repro-service)")
@@ -808,7 +805,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="base directory for golden + round state "
                              "(each round needs a fresh subdirectory)")
     p_soak.add_argument("--rounds", type=int, default=3, metavar="N")
-    p_soak.add_argument("--seed", type=int, default=0,
+    p_soak.add_argument("--seed", type=_seed, default=0,
                         help="base schedule seed (round r uses seed+r)")
     p_soak.add_argument("--action", choices=["kill", "torn-write",
                                              "io-error"],
@@ -833,7 +830,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "of a spec file")
     p_submit.add_argument("--full", action="store_true",
                           help="experiment jobs: paper-scale layout")
-    p_submit.add_argument("--seed", type=int, default=0)
+    p_submit.add_argument("--seed", type=_seed, default=0)
     p_submit.add_argument("--dir", metavar="DIR", help=service_dir_help)
 
     p_status = sub.add_parser(
@@ -860,7 +857,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fwq.add_argument("--tuning", choices=["production", "untuned"],
                        default="production")
     p_fwq.add_argument("--duration", type=float, default=60.0)
-    p_fwq.add_argument("--seed", type=int, default=0)
+    p_fwq.add_argument("--seed", type=_seed, default=0)
     return parser
 
 

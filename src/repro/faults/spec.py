@@ -101,7 +101,11 @@ class FaultSpec:
                     f"{dotted}: must be >= 0, got {value!r}")
             object.__setattr__(self, name, value)
         for name, dotted in _INTEGER_FIELDS:
-            check(getattr(self, name), "integer", "platform spec", dotted)
+            value = check(getattr(self, name), "integer", "platform spec",
+                          dotted)
+            if value < 0:
+                raise ConfigurationError(
+                    f"{dotted}: must be >= 0, got {value!r}")
         if not 0.0 <= self.ikc_drop_prob < 1.0:
             raise ConfigurationError(
                 f"faults.ikc_drop_prob: must be in [0, 1), "
@@ -110,8 +114,6 @@ class FaultSpec:
             raise ConfigurationError(
                 f"faults.backoff_factor: must be >= 1, "
                 f"got {self.backoff_factor!r}")
-        if self.max_retries < 0 or self.ikc_max_redeliveries < 0:
-            raise ConfigurationError("faults: retry counts must be >= 0")
 
     # -- classification ----------------------------------------------
 

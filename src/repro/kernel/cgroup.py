@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from ..analysis.race import get_race_detector
 from ..errors import CgroupLimitExceeded, ConfigurationError
 
 
@@ -60,16 +59,6 @@ class MemoryController:
         the (effective) charge would exceed the limit."""
         if nbytes < 0:
             raise ConfigurationError("charge must be non-negative")
-        # The limit check + counter update is a read-modify-write on
-        # shared accounting state (the real kernel uses page_counter
-        # atomics here); the race detector checks the whole section
-        # commits against the epoch its read observed.
-        rd = get_race_detector()
-        token = 0
-        res = ""
-        if rd is not None:
-            res = rd.resource_for(self, "memcg")
-            token = rd.rmw_begin(res, actor="memcg")
         would_count = (not surplus_hugetlb) or self.charge_surplus_hugetlb
         if (
             self.limit_bytes is not None
@@ -85,18 +74,10 @@ class MemoryController:
             self.surplus_hugetlb_bytes += nbytes
         else:
             self.usage_bytes += nbytes
-        if rd is not None:
-            rd.rmw_commit(res, actor="memcg", token=token)
 
     def uncharge(self, nbytes: int, surplus_hugetlb: bool = False) -> None:
         if nbytes < 0:
             raise ConfigurationError("uncharge must be non-negative")
-        rd = get_race_detector()
-        token = 0
-        res = ""
-        if rd is not None:
-            res = rd.resource_for(self, "memcg")
-            token = rd.rmw_begin(res, actor="memcg")
         if surplus_hugetlb:
             if nbytes > self.surplus_hugetlb_bytes:
                 raise ConfigurationError("uncharge exceeds surplus usage")
@@ -105,8 +86,6 @@ class MemoryController:
             if nbytes > self.usage_bytes:
                 raise ConfigurationError("uncharge exceeds usage")
             self.usage_bytes -= nbytes
-        if rd is not None:
-            rd.rmw_commit(res, actor="memcg", token=token)
 
 
 class Cgroup:

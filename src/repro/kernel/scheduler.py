@@ -19,20 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..analysis.race import get_race_detector
 from ..errors import ConfigurationError
 from ..obs.tracer import get_tracer
-
-
-def _rq_write(sched: "CfsScheduler | CooperativeScheduler") -> None:
-    """Race hook: every runqueue mutation is an exclusive write by the
-    owning CPU — per-CPU runqueues are lock-free precisely because only
-    their own CPU touches them, so a second writer is an unordered
-    cross-CPU update the detector must flag."""
-    rd = get_race_detector()
-    if rd is not None:
-        rd.write(rd.resource_for(sched, f"runqueue/cpu{sched.cpu_id}"),
-                 actor=f"cpu{sched.cpu_id}", exclusive=True)
 
 
 @dataclass
@@ -77,7 +65,6 @@ class CfsScheduler:
         # New tasks start at the max vruntime so they don't starve others.
         if self.runqueue:
             task.vruntime = max(t.vruntime for t in self.runqueue.values())
-        _rq_write(self)
         self.runqueue[task.task_id] = task
 
     def dequeue(self, task_id: int) -> SchedTask:
@@ -85,7 +72,6 @@ class CfsScheduler:
             task = self.runqueue.pop(task_id)
         except KeyError:
             raise ConfigurationError(f"task {task_id} not on runqueue") from None
-        _rq_write(self)
         return task
 
     def pick_next(self) -> Optional[SchedTask]:
@@ -101,7 +87,6 @@ class CfsScheduler:
         task = self.runqueue.get(task_id)
         if task is None:
             raise ConfigurationError(f"task {task_id} not on runqueue")
-        _rq_write(self)
         task.runtime += delta
         task.vruntime += delta / task.weight
 
@@ -189,13 +174,11 @@ class CooperativeScheduler:
     def enqueue(self, task: SchedTask) -> None:
         if any(t.task_id == task.task_id for t in self._ring):
             raise ConfigurationError(f"task {task.task_id} already enqueued")
-        _rq_write(self)
         self._ring.append(task)
 
     def dequeue(self, task_id: int) -> SchedTask:
         for i, t in enumerate(self._ring):
             if t.task_id == task_id:
-                _rq_write(self)
                 del self._ring[i]
                 if self._current >= len(self._ring):
                     self._current = 0
@@ -217,7 +200,6 @@ class CooperativeScheduler:
         if delta < 0:
             raise ConfigurationError("delta must be non-negative")
         if self.current is not None:
-            _rq_write(self)
             self.current.runtime += delta
 
     def tick_active(self) -> bool:

@@ -24,7 +24,6 @@ from typing import Any, Optional
 
 import numpy as np
 
-from ..analysis.race import get_race_detector
 from ..errors import ConfigurationError, IkcTimeoutError, ResourceError
 from ..obs.tracer import get_tracer
 from ..sim.engine import Engine, Event
@@ -120,22 +119,13 @@ class IkcChannel:
         self._seq += 1
         self._ring.append(msg)
         self.posted += 1
-        rd = get_race_detector()
-        if rd is not None:
-            rd.ikc_post(rd.resource_for(self, f"ikc/{self.name}"),
-                        msg.seq)
         return msg
 
     def deliver(self) -> Optional[IkcMessage]:
         if not self._ring:
             return None
         self.delivered += 1
-        msg = self._ring.popleft()
-        rd = get_race_detector()
-        if rd is not None:
-            rd.ikc_deliver(rd.resource_for(self, f"ikc/{self.name}"),
-                           msg.seq)
-        return msg
+        return self._ring.popleft()
 
     def _delivery_dropped(self) -> bool:
         """Sample one in-flight loss (False on a reliable channel)."""

@@ -40,7 +40,7 @@ _SECONDS_TO_US = 1e6
 
 def canonical_json(obj: object) -> str:
     """Canonical serialization — sorted keys, fixed separators — the
-    one byte form every exporter, cache digest and race report shares.
+    one byte form every exporter and cache digest shares.
     Public so other subsystems hash exactly what the exporters emit."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -212,7 +212,7 @@ def prometheus_text(registry: "MetricsRegistry",
     return "\n".join(lines) + "\n" if lines else ""
 
 
-# -- validation (the CI trace-smoke gate) ------------------------------
+# -- validation (the CI "Trace smoke" gate) ----------------------------
 
 _VALID_PHASES = {"X", "i", "M"}
 

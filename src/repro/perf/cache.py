@@ -29,7 +29,6 @@ the whole disk tier applying the same check.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import os
@@ -37,7 +36,6 @@ import pathlib
 import time
 from typing import TYPE_CHECKING, Optional
 
-from ..analysis.race import get_race_detector
 from ..durable import atomic_publish, quarantine
 from ..errors import CacheCorruptionError, ConfigurationError
 
@@ -165,9 +163,6 @@ class RunCache:
         A present-but-corrupt disk entry (``json.JSONDecodeError``,
         missing/ill-typed fields, truncated file) is quarantined and
         reported as a miss — the sweep recomputes and overwrites."""
-        rd = get_race_detector()
-        if rd is not None:
-            rd.cache_read(rd.resource_for(self, "runcache"), key)
         result = self._memory.get(key)
         if result is not None:
             return result
@@ -196,13 +191,6 @@ class RunCache:
         self-describing — the JSON that hashed to ``key`` is written
         next to the result, so cache identity is auditable with a text
         editor."""
-        rd = get_race_detector()
-        if rd is not None:
-            digest = hashlib.sha256(
-                json.dumps(result_to_dict(result), sort_keys=True,
-                           separators=(",", ":")).encode()
-            ).hexdigest()
-            rd.cache_put(rd.resource_for(self, "runcache"), key, digest)
         self._memory[key] = result
         if self.directory is None:
             return

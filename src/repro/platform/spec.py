@@ -408,7 +408,8 @@ class RunSpec:
             if value <= 0:
                 raise ConfigurationError(
                     f"{field_name}: must be positive, got {value}")
-        check(self.seed, "integer", "run spec", "seed")
+        if check(self.seed, "integer", "run spec", "seed") < 0:
+            raise ConfigurationError(f"seed: must be >= 0, got {self.seed}")
 
     # -- serialization ---------------------------------------------------
 

@@ -142,6 +142,15 @@ class RunResult:
         return 0.5 * (hi - lo)
 
 
+def check_run_args(machine: Machine, n_nodes: int, n_runs: int) -> None:
+    """Refuse a cell ``machine`` cannot run: the range ``repro run``
+    and ``repro platform validate`` both apply."""
+    if n_nodes <= 0 or n_nodes > machine.n_nodes:
+        raise ConfigurationError(f"n_nodes must be in 1..{machine.n_nodes}")
+    if n_runs <= 0:
+        raise ConfigurationError("n_runs must be positive")
+
+
 def _churn_page_kind(os_instance: OsInstance) -> tuple[int, PageKind]:
     """(page_bytes, kind) at which Linux re-faults churned heap memory.
 
@@ -367,14 +376,6 @@ class AppRunner:
             breakdown=breakdown,
         )
 
-    def _check_run_args(self, n_nodes: int, n_runs: int) -> None:
-        if n_nodes <= 0 or n_nodes > self.machine.n_nodes:
-            raise ConfigurationError(
-                f"n_nodes must be in 1..{self.machine.n_nodes}"
-            )
-        if n_runs <= 0:
-            raise ConfigurationError("n_runs must be positive")
-
     def run(self, os_instance: OsInstance, n_nodes: int,
             n_runs: int = 3, batch_trials: bool = True) -> RunResult:
         """Execute the profile ``n_runs`` times; per-run noise and
@@ -384,7 +385,7 @@ class AppRunner:
         loop; the result is bit-identical either way (asserted in
         tests and measured by the ``sweep_multitrial`` benchmarks).
         """
-        self._check_run_args(n_nodes, n_runs)
+        check_run_args(self.machine, n_nodes, n_runs)
         (tlb_time, churn_time, collective_time, per_iter_static, init,
          n_intervals, n_threads) = self._component_times(os_instance, n_nodes)
         sampler = self._noise_sampler(os_instance, n_nodes, n_threads)
@@ -408,7 +409,7 @@ class AppRunner:
         ``k``), so results are bit-identical across ``--jobs`` and
         across cell execution order.
         """
-        self._check_run_args(n_nodes, n_runs)
+        check_run_args(self.machine, n_nodes, n_runs)
         if target_ci <= 0:
             raise ConfigurationError("target_ci must be positive")
         if max_runs < n_runs:

@@ -59,6 +59,8 @@ class JobSpec:
         if self.kind not in JOB_KINDS:
             raise ConfigurationError(
                 f"unknown job kind {self.kind!r}; known: {JOB_KINDS}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed: must be >= 0, got {self.seed}")
         if self.kind == "experiment":
             if not self.experiment:
                 raise ConfigurationError(

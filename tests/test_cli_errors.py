@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -127,8 +128,9 @@ def test_submit_malformed_jobspec(tmp_path, run_main):
     ({"experiment": 7}, "'experiment' must be a JSON string"),
     ({"kind": 3}, "'kind' must be a JSON string"),
     ({"sed": 3}, "unknown field(s) ['sed']"),
+    ({"seed": -1}, "seed: must be >= 0, got -1"),
 ], ids=["seed-str", "seed-float", "seed-bool", "fast-str", "fast-int",
-        "experiment-int", "kind-int", "misspelt-key"])
+        "experiment-int", "kind-int", "misspelt-key", "seed-negative"])
 def test_submit_checks_jobspec_fields(tmp_path, run_main, form, fields,
                                       message):
     """Both submission forms reject a mistyped or misspelt field with a
@@ -279,6 +281,71 @@ def test_platform_and_run_spec_field_types_are_checked(
     assert code == 2
     assert f"{field!r} must be a JSON" in _diagnostic(err)
     assert not list(svc.glob("jobs/*.json"))
+
+
+_RUN = {"platform": _PLATFORM, "app": "Milc", "n_nodes": 4}
+
+
+@pytest.mark.parametrize("verb", ["validate", "run"])
+@pytest.mark.parametrize("doc, message", [
+    ({**_RUN, "seed": -1}, "seed: must be >= 0, got -1"),
+    ({**_RUN, "platform": {**_PLATFORM, "faults": {"seed": -5}}},
+     "faults.seed: must be >= 0, got -5"),
+    ({**_RUN, "n_nodes": 10 ** 12}, "n_nodes must be in 1..158976"),
+], ids=["seed-negative", "fault-seed-negative", "nodes-over-machine"])
+def test_validate_refuses_what_run_refuses(tmp_path, run_main, verb, doc,
+                                           message):
+    """A run spec that ``repro run`` cannot run is not "valid" either:
+    both verbs refuse it with the same diagnostic, never numpy's
+    traceback."""
+    spec = tmp_path / "run.json"
+    spec.write_text(json.dumps(doc))
+    argv = (["platform", "validate", str(spec)] if verb == "validate"
+            else ["run", str(spec), "--no-cache"])
+    code, out, err = run_main(argv)
+    assert code == 2
+    assert message in _diagnostic(err)
+    assert "valid" not in out
+
+
+@pytest.mark.parametrize("verb", ["serve", "soak"])
+def test_chaos_spec_seed_must_be_non_negative(tmp_path, run_main, verb):
+    spec = tmp_path / "chaos.json"
+    spec.write_text(json.dumps({"seed": -1}))
+    svc = str(tmp_path / "svc")
+    argv = (["serve", "--dir", svc, "--drain", "--chaos", str(spec)]
+            if verb == "serve" else
+            ["chaos", "soak", svc, "--rounds", "1", "--spec", str(spec)])
+    code, _, err = run_main(argv)
+    assert code == 2
+    assert "seed: must be >= 0, got -1" in _diagnostic(err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["experiments", "eq1"],
+    ["run", "spec.json"],
+    ["compare", "LQCD"],
+    ["export", "out"],
+    ["trace", "run", "eq1"],
+    ["metrics", "eq1"],
+    ["chaos", "soak", "soak"],
+    ["submit", "--experiment", "eq1"],
+    ["fwq"],
+], ids=lambda argv: "-".join(argv[:2]))
+@pytest.mark.parametrize("seed, message", [
+    ("-1", "must be >= 0, got -1"),
+    ("x", "invalid int value: 'x'"),
+], ids=["negative", "not-int"])
+def test_every_seed_flag_is_a_non_negative_integer(capsys, argv, seed,
+                                                   message):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", seed])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    # argparse names the subcommand: ``repro fwq: error: ...``.
+    assert re.search(rf"^repro[\w ]*: error: argument --seed: "
+                     rf"{re.escape(message)}$", err, re.MULTILINE), err
+    assert "Traceback" not in err
 
 
 def test_cache_gc_without_bounds(run_main, tmp_path):

@@ -1,9 +1,12 @@
-"""cgroups: cpuset inheritance, memory limits, the Fugaku hierarchy."""
+"""cgroups: cpuset inheritance, memory limits, the Fugaku hierarchy,
+and the memcg accounting contract under drawn sequences."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import CgroupLimitExceeded, ConfigurationError
-from repro.kernel.cgroup import Cgroup, make_fugaku_hierarchy
+from repro.kernel.cgroup import Cgroup, MemoryController, make_fugaku_hierarchy
 from repro.units import gib, mib
 
 
@@ -119,3 +122,88 @@ def test_negative_charge_rejected():
     cg = Cgroup("app", cpus=[0], mems=[0])
     with pytest.raises(ConfigurationError):
         cg.memory.charge(-1)
+
+
+# -- the memcg accounting contract, under drawn sequences ---------------
+
+
+class StaleUsageController(MemoryController):
+    """Planted lost update: charge() commits from a ``usage_bytes`` read
+    cached at the previous charge, so an uncharge in between is
+    overwritten."""
+
+    _cached_usage = 0
+
+    def charge(self, nbytes, surplus_hugetlb=False):
+        super().charge(nbytes, surplus_hugetlb)
+        if not surplus_hugetlb:
+            self.usage_bytes = self._cached_usage + nbytes
+            self._cached_usage = self.usage_bytes
+
+
+def _drive_memcg(memcg, ops):
+    """Apply ``ops`` (``(op, nbytes, surplus)`` triples) to ``memcg``,
+    asserting after each one that:
+
+    * ``usage_bytes`` and ``surplus_hugetlb_bytes`` equal the accepted
+      charges minus the uncharges;
+    * a refused charge is an over-limit one, changes neither counter
+      and adds exactly 1 to ``failcnt``;
+    * the counted bytes never exceed the limit.
+    """
+    expected = {False: 0, True: 0}  # surplus_hugetlb -> net bytes
+
+    def counters():
+        return memcg.usage_bytes, memcg.surplus_hugetlb_bytes
+
+    def counted():
+        if memcg.charge_surplus_hugetlb:
+            return memcg.usage_bytes + memcg.surplus_hugetlb_bytes
+        return memcg.usage_bytes
+
+    for op, nbytes, surplus in ops:
+        before, counted_before, failcnt = counters(), counted(), memcg.failcnt
+        if op == "charge":
+            try:
+                memcg.charge(nbytes, surplus_hugetlb=surplus)
+            except CgroupLimitExceeded:
+                assert memcg.limit_bytes is not None
+                assert memcg.charge_surplus_hugetlb or not surplus
+                assert counted_before + nbytes > memcg.limit_bytes
+                assert counters() == before
+                assert memcg.failcnt == failcnt + 1
+                continue
+            expected[surplus] += nbytes
+        else:
+            try:
+                memcg.uncharge(nbytes, surplus_hugetlb=surplus)
+            except ConfigurationError:
+                assert nbytes > expected[surplus]
+                assert counters() == before
+                continue
+            expected[surplus] -= nbytes
+        assert memcg.failcnt == failcnt
+        assert counters() == (expected[False], expected[True])
+        if memcg.limit_bytes is not None:
+            assert counted() <= memcg.limit_bytes
+
+
+MEMCG_OPS = st.lists(
+    st.tuples(st.sampled_from(["charge", "uncharge"]),
+              st.integers(0, 4096), st.booleans()),
+    max_size=25)
+
+
+@settings(max_examples=50, deadline=None)
+@given(ops=MEMCG_OPS, limit=st.integers(0, 8192), hook=st.booleans())
+def test_memcg_accounting_balances(ops, limit, hook):
+    _drive_memcg(MemoryController(limit_bytes=limit,
+                                  charge_surplus_hugetlb=hook), ops)
+
+
+def test_contract_catches_lost_update():
+    ops = [("charge", 100, False), ("uncharge", 100, False),
+           ("charge", 10, False)]
+    _drive_memcg(MemoryController(limit_bytes=1 << 20), ops)
+    with pytest.raises(AssertionError):
+        _drive_memcg(StaleUsageController(limit_bytes=1 << 20), ops)
