@@ -123,17 +123,19 @@ def main() -> None:
               " (sar's Poisson-ish wakeups) has no clean spectral"
               " signature, consistent with the ftrace attribution.")
 
-    # Step 6: how an operator would verify the config on a node.
-    from repro.kernel.procfs import read as proc_read
-
-    print("\nStep 6 — procfs spot checks on the tuned node:")
-    for path in ("/proc/cmdline",
-                 "/sys/fs/cgroup/app/cpuset.cpus",
-                 "/sys/fs/cgroup/system/cpuset.cpus",
-                 "/proc/interference"):
-        value = proc_read(prod, path).replace("\n", " | ")
-        print(f"  {path:<38} {value}")
-
+    # Step 6: the node state an operator would spot-check.
+    print("\nStep 6 — configuration spot checks on the tuned node:")
+    app_cpus = prod.cgroup_app.cpuset.cpus
+    checks = {
+        "nohz_full": prod.tuning.nohz_full,
+        "app cpuset": f"{len(app_cpus)} CPUs, {min(app_cpus)}-{max(app_cpus)}",
+        "system cpuset": sorted(prod.cgroup_system.cpuset.cpus),
+        "large pages": prod.tuning.large_pages.value,
+        "app-core interference": [t.name for t in
+                                  prod.noise_tasks_on_app_cores()],
+    }
+    for label, value in checks.items():
+        print(f"  {label:<24} {value}")
 
 if __name__ == "__main__":
     main()

@@ -7,7 +7,6 @@ from .hwbarrier import (
     BarrierSpec,
     HardwareBarrierAllocator,
 )
-from .membw import BandwidthModel, rank_bandwidth_demand
 from .machines import (
     Machine,
     NodeSpec,
@@ -28,8 +27,6 @@ from .tlb import A64FX_TLB, KNL_TLB, TlbFlushMode, TlbModel, TlbSpec
 from .topology import CpuTopology, LogicalCpu
 
 __all__ = [
-    "BandwidthModel",
-    "rank_bandwidth_demand",
     "CacheSpec",
     "SectorCache",
     "A64FX_L2",

@@ -7,9 +7,7 @@ from .costmodel import CostModel, LINUX_COSTS, MCKERNEL_COSTS
 from .ftrace import ActorSummary, Ftrace, TraceEvent
 from .hugetlb import HugeTlbPool, HugeTlbStats
 from .irq import IrqDescriptor, IrqRouter, default_irq_table
-from .khugepaged import Khugepaged, KhugepagedStats
 from .linux import LinuxKernel, SYSTEM_NUMA_FRACTION
-from . import procfs
 from .pagetable import (
     AARCH64_64K,
     X86_4K,
@@ -55,9 +53,6 @@ __all__ = [
     "IrqDescriptor",
     "IrqRouter",
     "default_irq_table",
-    "Khugepaged",
-    "KhugepagedStats",
-    "procfs",
     "LinuxKernel",
     "SYSTEM_NUMA_FRACTION",
     "AARCH64_64K",

@@ -1,29 +1,11 @@
-"""Runtime layer: binding, batch jobs, and the experiment runner."""
+"""Runtime layer: batch jobs and the experiment runner."""
 
-from .binding import (
-    RankBinding,
-    bind_ranks,
-    numa_locality_fraction,
-    validate_disjoint,
-)
 from .job import (
     BatchSystem,
     ContainerSpec,
     Job,
     OsChoice,
     ProvisionedJob,
-)
-from .colocation import (
-    ColocationResult,
-    IsolationMode,
-    TenantLoad,
-    run_colocation,
-)
-from .delegationsim import (
-    DelegationLoadResult,
-    capacity_hz,
-    saturation_sweep,
-    simulate_delegation,
 )
 from .linuxsim import NodeSimResult, SimCore, simulate_linux_node_fwq
 from .nodesim import (
@@ -35,14 +17,6 @@ from .nodesim import (
 from .runner import AppRunner, Breakdown, Comparison, RunResult, compare
 
 __all__ = [
-    "ColocationResult",
-    "IsolationMode",
-    "TenantLoad",
-    "run_colocation",
-    "DelegationLoadResult",
-    "capacity_hz",
-    "saturation_sweep",
-    "simulate_delegation",
     "NodeSimResult",
     "SimCore",
     "simulate_linux_node_fwq",
@@ -50,10 +24,6 @@ __all__ = [
     "NoisyCore",
     "simulate_bsp",
     "validate_against_sampler",
-    "RankBinding",
-    "bind_ranks",
-    "numa_locality_fraction",
-    "validate_disjoint",
     "BatchSystem",
     "ContainerSpec",
     "Job",

@@ -196,7 +196,8 @@ def test_cc001_resolves_import_aliases():
     assert len(hits) == 5
 
 
-def test_cc004_fires_on_positive_fixture(tmp_path, monkeypatch):
+def test_disconnected_injector_leaves_every_write_site_unreached(
+        tmp_path, monkeypatch):
     """Disconnecting repro.durable from the injector leaves every write
     site unreached."""
     # Every write site is a hook in repro.durable.
@@ -204,7 +205,7 @@ def test_cc004_fires_on_positive_fixture(tmp_path, monkeypatch):
         set(WRITE_SITES)
 
 
-def test_cc004_quiet_on_negative_fixture(tmp_path, monkeypatch):
+def test_every_crash_point_is_reached_as_shipped(tmp_path, monkeypatch):
     """As shipped, every crash point is reached."""
     assert _retired_hits("CC004", False, tmp_path, monkeypatch) == []
 
@@ -219,16 +220,15 @@ def test_cc007_sees_through_repro_durable(tmp_path, monkeypatch):
 # -- control-flow cases: every path through repro.durable --------------
 
 
-def test_cfg_fsync_cut_dominates_replace_under_assumed_durable(
-        tmp_path, monkeypatch):
+def test_atomic_publish_fsyncs_before_it_replaces(tmp_path, monkeypatch):
     """atomic_publish fsyncs before it replaces."""
     assert syscall_order(monkeypatch, lambda: durable.atomic_publish(
         tmp_path / "entry.json", b"data", durable=True)) == [
         "write", "fsync", "replace"]
 
 
-def test_cfg_fsync_not_dominating_without_assumption(tmp_path,
-                                                     monkeypatch):
+def test_atomic_publish_skips_the_fsync_when_not_durable(tmp_path,
+                                                         monkeypatch):
     """atomic_publish skips the fsync when not durable."""
     # durable=False (tests, the benchmark) skips every fsync.
     assert syscall_order(monkeypatch, lambda: durable.atomic_publish(
@@ -236,7 +236,8 @@ def test_cfg_fsync_not_dominating_without_assumption(tmp_path,
         "write", "replace"]
 
 
-def test_cfg_missing_fsync_detected(tmp_path, monkeypatch):
+def test_without_fsync_every_publishing_primitive_is_unsynced(
+        tmp_path, monkeypatch):
     """Without fsync, every primitive that publishes a write is named
     as unsynced."""
     monkeypatch.setattr(durable, "os", _OsWithout("fsync"))
@@ -245,14 +246,16 @@ def test_cfg_missing_fsync_detected(tmp_path, monkeypatch):
         "exclusive_create: return"]
 
 
-def test_cfg_finally_close_guards_every_path(tmp_path, monkeypatch):
+def test_failing_read_pread_fstat_or_lseek_leaks_no_descriptor(
+        tmp_path, monkeypatch):
     """A failing read, pread, fstat or lseek leaks no descriptor."""
     # The failure paths test_durable.py leaves out: reads and seeks.
     assert leaked_descriptors(tmp_path, monkeypatch, failures=(
         "read", "pread", "fstat", "lseek")) == []
 
 
-def test_cfg_unprotected_close_leaks(tmp_path, monkeypatch):
+def test_without_close_every_primitive_leaks_under_every_failure(
+        tmp_path, monkeypatch):
     """Without close, every primitive leaks under every failure."""
     monkeypatch.setattr(durable, "os", _OsWithout("close"))
     hits = leaked_descriptors(tmp_path, monkeypatch)

@@ -92,16 +92,6 @@ def test_fwq_result_cdf_small_sample(rng):
     assert len(lengths) == 10 and probs[-1] == pytest.approx(1.0)
 
 
-def test_delegation_sim_empty_duration_guard():
-    from repro.runtime.delegationsim import simulate_delegation
-
-    with pytest.raises(ConfigurationError):
-        # Short horizon with an enormous inter-arrival: no completions.
-        simulate_delegation(n_clients=1,
-                            calls_per_second_per_client=1e-9,
-                            duration=0.001)
-
-
 def test_mixture_sources_with_zero_length_tail():
     from repro.noise.analytic import IterationMixture
     from repro.noise.source import NoiseSource

@@ -6,10 +6,7 @@ import pytest
 from repro.apps import ALL_PROFILES
 from repro.apps.fwq import FwqConfig, run_fwq_on
 from repro.hardware.machines import a64fx_testbed, fugaku
-from repro.kernel.procfs import read as proc_read
-from repro.mckernel.devmap import DeviceMapper, DeviceRegion
 from repro.runtime.batchsched import BatchJob, BatchScheduler
-from repro.runtime.binding import bind_ranks, validate_disjoint
 from repro.runtime.job import BatchSystem, Job, OsChoice
 from repro.runtime.runner import AppRunner
 from repro.sim.engine import Engine
@@ -19,7 +16,7 @@ from repro.units import mib
 def test_operational_day_on_the_testbed():
     """A day in the life of the 16-node A64FX testbed: a mixed queue of
     Linux and McKernel jobs flows through the batch system; each job's
-    OS boots correctly, binds its ranks, and produces plausible FWQ or
+    OS boots correctly and produces plausible FWQ or
     application numbers."""
     machine = a64fx_testbed()
     engine = Engine()
@@ -52,9 +49,6 @@ def test_operational_day_on_the_testbed():
     for j in (jobs[0], jobs[1]):
         prov = batch.provision(Job(j.name, j.n_nodes,
                                    j.os_choice))
-        bindings = bind_ranks(machine.node, 4, 12,
-                              allowed_cpus=prov.os_instance.app_cpu_ids())
-        validate_disjoint(bindings)
         fwq = run_fwq_on(prov.os_instance, FwqConfig(duration=30.0), rng)
         assert fwq.noise_rate < 1e-4
     # The McKernel FWQ is at least as clean as Linux's.
@@ -69,7 +63,7 @@ def test_operational_day_on_the_testbed():
 
 def test_lwk_process_full_lifecycle(fugaku_mckernel):
     """One McKernel process exercising every §5 facility in order:
-    memory, delegation, signals, fork, device mapping, exit."""
+    memory, delegation, signals, fork, exit."""
     p = fugaku_mckernel.spawn(memory_scale=0.002)
     # 1. LWK-local memory management.
     vma = p.syscall("mmap", mib(8))
@@ -89,31 +83,22 @@ def test_lwk_process_full_lifecycle(fugaku_mckernel):
     child = p.syscall("fork")
     child.address_space.cow_write(child.address_space.vmas[vma.start])
     assert child.address_space.stats.cow_faults == 4  # 8 MiB / 2 MiB
-    # 5. Direct device mapping on the parent.
-    mapper = DeviceMapper(p)
-    mapping, _ = mapper.map_region(
-        DeviceRegion("/dev/tofu0", 0, 64 * 1024))
-    mapping.access(100)
-    # 6. Teardown in both orders.
+    # 5. Teardown, child first.
     child.exit()
-    mapper.teardown()
     invalidated = p.exit()
     assert invalidated >= 128  # 8 MiB of 64 KiB PTEs
     assert not p.proxy.alive
 
 
 def test_kernel_state_consistency_across_views(fugaku_machine):
-    """The procfs rendering, the noise catalogue, and the runner must
-    agree about one kernel's configuration."""
+    """The noise catalogue and the runner must agree about one kernel's
+    configuration."""
     from repro.kernel.linux import LinuxKernel
     from repro.kernel.tuning import Countermeasure, fugaku_production
     from repro.noise.catalog import noise_sources_for
 
     tuning = fugaku_production().disable(Countermeasure.KWORKER_BINDING)
     kernel = LinuxKernel(fugaku_machine.node, tuning)
-    # procfs view:
-    interference = proc_read(kernel, "/proc/interference")
-    assert "kworker" in interference and "sar" in interference
     # catalogue view:
     names = {s.name for s in noise_sources_for(kernel,
                                                include_stragglers=False)}

@@ -5,16 +5,32 @@ Every test here exercises multiple subsystems together and asserts a
 the gap moves with scale or tuning.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro import quick_compare
+from repro.apps import ALL_PROFILES
 from repro.apps.fwq import FwqConfig, run_fwq_on
 from repro.experiments import run_experiment
-from repro.hardware.machines import a64fx_testbed
+from repro.hardware.machines import a64fx_testbed, fugaku
+from repro.hardware.tlb import TlbFlushMode, TlbModel
+from repro.kernel.buddy import BuddyAllocator
 from repro.kernel.linux import LinuxKernel
-from repro.kernel.tuning import Countermeasure, fugaku_production
+from repro.kernel.pagetable import AARCH64_64K, PageKind
+from repro.kernel.tuning import (
+    Countermeasure,
+    LargePagePolicy,
+    fugaku_production,
+    ofp_default,
+    untuned,
+)
+from repro.mckernel.lwk import boot_mckernel
+from repro.net.rdma import registration_time
 from repro.noise.mitigation import TABLE2_PAPER
+from repro.runtime.runner import compare
+from repro.units import mib, ns
 
 
 # --- Table 2 shape -----------------------------------------------------------
@@ -110,11 +126,6 @@ def test_tuning_matters_more_than_kernel_choice():
     performance; an untuned one does not.  Disabling just the daemon
     countermeasure on Fugaku-like Linux swings results far more than
     the remaining Linux-vs-McKernel gap."""
-    from repro.hardware.machines import fugaku
-    from repro.mckernel.lwk import boot_mckernel
-    from repro.runtime.runner import compare
-    from repro.apps import ALL_PROFILES
-
     machine = fugaku()
     profile = ALL_PROFILES["LQCD"]()
     tuned = fugaku_production()
@@ -132,9 +143,6 @@ def test_tuning_matters_more_than_kernel_choice():
 def test_fwq_tail_orderings_across_stack():
     """FWQ under the three OS stacks on one node design orders as the
     paper's Fig. 4: untuned Linux >> tuned Linux >= McKernel."""
-    from repro.mckernel.lwk import boot_mckernel
-    from repro.kernel.tuning import untuned
-
     machine = a64fx_testbed()
     cfg = FwqConfig(duration=120.0)
     rng = np.random.default_rng(0)
@@ -159,3 +167,90 @@ def test_shapes_robust_across_seeds(seed):
     assert lulesh.relative_performance == pytest.approx(2.0, abs=0.4)
     lqcd = quick_compare("LQCD", platform="fugaku", nodes=2048, seed=seed)
     assert abs(lqcd.speedup_percent) < 5.0
+
+
+# --- ablations: the design choices EXPERIMENTS.md lists ---------------------
+
+def _populate_cost(policy: LargePagePolicy) -> float:
+    """Populate 256 MiB of heap under one page policy (per-rank init)."""
+    tuning = replace(
+        fugaku_production(),
+        large_pages=policy,
+        hugetlb_overcommit=policy is LargePagePolicy.HUGETLBFS,
+        charge_surplus_hugetlb=policy is LargePagePolicy.HUGETLBFS,
+        name=f"ablation-{policy.value}",
+    )
+    kernel = LinuxKernel(fugaku().node, tuning)
+    kind = kernel.app_page_kind()
+    return kernel.costs.populate_cost(
+        mib(256), kernel.app_page_geometry().size_of(kind), kind)
+
+
+def test_ablation_pages_hugetlbfs_is_cheaper_and_512mib_pages_fragment():
+    """§4.1.3: hugeTLBfs beats base pages on fault-path cost, and after
+    churn the buddy allocator still yields 2 MiB (contiguous-bit) blocks
+    but no 512 MiB block, which is why Fugaku avoided 512 MiB pages."""
+    assert _populate_cost(LargePagePolicy.HUGETLBFS) < \
+        _populate_cost(LargePagePolicy.NONE)
+
+    buddy = BuddyAllocator(16384)  # 1 GiB of 64 KiB pages
+    held = [buddy.alloc(0) for _ in range(16384)]
+    for i, blk in enumerate(held):
+        if i % 64 != 0:  # free all but a sparse residue
+            buddy.free(blk)
+    assert buddy.can_allocate(AARCH64_64K.order_of(PageKind.CONTIG))
+    assert not buddy.can_allocate(AARCH64_64K.order_of(PageKind.HUGE))
+
+
+def test_ablation_tlb_ipi_costs_issuer_3x_and_broadcast_costs_victims():
+    """§4.2.2: a software IPI shootdown costs the issuer more than 3x the
+    hardware broadcast (why broadcast stays for multi-core processes);
+    broadcast costs every victim 200 ns per TLBI, and the RHEL patch
+    (local-only for single-core processes) costs it nothing."""
+    spec = fugaku().node.tlb
+    storm = 1000  # a GC / process-exit storm
+    issuer = {mode: TlbModel(spec, mode).shootdown_cost(
+        storm, n_target_cores=47) for mode in TlbFlushMode}
+    assert issuer[TlbFlushMode.IPI] > 3 * issuer[TlbFlushMode.BROADCAST]
+    victim = {mode: TlbModel(spec, mode).victim_delay(
+        storm, threads_on_one_core=True) for mode in TlbFlushMode}
+    assert victim[TlbFlushMode.BROADCAST] == pytest.approx(storm * ns(200))
+    assert victim[TlbFlushMode.LOCAL_ONLY] == 0.0
+
+
+def test_ablation_delegation_picodriver_beats_linux_100x():
+    """§5.1: a delegated STAG registration is strictly slower than the
+    native Linux ioctl; the PicoDriver fast path is more than 100x
+    faster than Linux for a large (256 MiB) registration."""
+    node = fugaku().node
+    linux = registration_time(LinuxKernel(node, fugaku_production()),
+                              mib(256))
+    delegated = registration_time(boot_mckernel(node, picodriver=False),
+                                  mib(256))
+    pico = registration_time(boot_mckernel(node, picodriver=True), mib(256))
+    assert delegated > linux
+    assert pico < linux / 100
+
+
+def test_ablation_tuning_erases_mckernel_gain():
+    """The core finding quantified: McKernel's LQCD gain at 2,048 Fugaku
+    nodes falls from tens of percent against untuned Linux to about zero
+    against the production stack as Linux tuning rises."""
+    machine = fugaku()
+    profile = ALL_PROFILES["LQCD"]()
+    mck = boot_mckernel(machine.node, host_tuning=fugaku_production())
+    stacks = {
+        "untuned": untuned(),
+        # OFP-style moderate tuning on A64FX: nohz_full but no
+        # isolation, and the unpatched broadcast TLB flush.
+        "moderate": replace(ofp_default(), name="moderate-a64fx",
+                            tlb_flush_mode=untuned().tlb_flush_mode),
+        "production": fugaku_production(),
+    }
+    gains = {label: compare(machine, profile,
+                            LinuxKernel(machine.node, tuning), mck, [2048],
+                            n_runs=3, seed=0)[0].speedup_percent
+             for label, tuning in stacks.items()}
+    assert gains["untuned"] > gains["moderate"] > -2.0
+    assert abs(gains["production"]) < 5.0
+    assert gains["untuned"] > 10 * max(1e-9, abs(gains["production"]))

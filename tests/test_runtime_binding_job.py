@@ -1,77 +1,10 @@
-"""Rank binding (§4.1.4) and the batch-job lifecycle."""
+"""The batch-job lifecycle."""
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.runtime.binding import (
-    bind_ranks,
-    numa_locality_fraction,
-    validate_disjoint,
-)
 from repro.runtime.job import BatchSystem, ContainerSpec, Job, OsChoice
 
-
-# --- binding -----------------------------------------------------------
-
-def test_fugaku_one_rank_per_cmg(fugaku_machine):
-    bindings = bind_ranks(fugaku_machine.node, ranks_per_node=4,
-                          threads_per_rank=12)
-    assert len(bindings) == 4
-    assert sorted(b.numa_group for b in bindings) == [0, 1, 2, 3]
-    validate_disjoint(bindings)
-    assert numa_locality_fraction(bindings, fugaku_machine.node) == 1.0
-    # Assistant cores are never used.
-    used = {c for b in bindings for c in b.cpu_ids}
-    assert not (used & set(fugaku_machine.node.topology.assistant_cpu_ids()))
-
-
-def test_ofp_geometries(ofp_machine):
-    for ranks, threads in ((4, 32), (16, 8), (8, 8), (16, 16)):
-        bindings = bind_ranks(ofp_machine.node, ranks, threads)
-        validate_disjoint(bindings)
-        assert len(bindings) == ranks
-
-
-def test_binding_prefers_distinct_physical_cores(ofp_machine):
-    bindings = bind_ranks(ofp_machine.node, ranks_per_node=4,
-                          threads_per_rank=17)
-    topo = ofp_machine.node.topology
-    for b in bindings:
-        # 17 threads on a 17-core quadrant: all on distinct cores.
-        cores = {topo.cpu(c).core_id for c in b.cpu_ids}
-        assert len(cores) == 17
-
-
-def test_binding_overflow_rejected(fugaku_machine):
-    with pytest.raises(ConfigurationError):
-        bind_ranks(fugaku_machine.node, ranks_per_node=4,
-                   threads_per_rank=13)  # 52 > 48 app cores
-
-
-def test_binding_respects_allowed_cpus(fugaku_machine):
-    allowed = fugaku_machine.node.topology.group_cpu_ids(0)
-    bindings = bind_ranks(fugaku_machine.node, 1, 12, allowed_cpus=allowed)
-    assert set(bindings[0].cpu_ids) <= set(allowed)
-    with pytest.raises(ConfigurationError):
-        bind_ranks(fugaku_machine.node, 2, 12, allowed_cpus=allowed)
-
-
-def test_validate_disjoint_catches_overlap(fugaku_machine):
-    bindings = bind_ranks(fugaku_machine.node, 2, 12)
-    from dataclasses import replace
-
-    clashing = [bindings[0], replace(bindings[1],
-                                     cpu_ids=bindings[0].cpu_ids)]
-    with pytest.raises(ConfigurationError):
-        validate_disjoint(clashing)
-
-
-def test_binding_validation(fugaku_machine):
-    with pytest.raises(ConfigurationError):
-        bind_ranks(fugaku_machine.node, 0, 1)
-
-
-# --- batch jobs -----------------------------------------------------------
 
 def test_linux_job_provisioning(fugaku_machine):
     batch = BatchSystem(fugaku_machine)
