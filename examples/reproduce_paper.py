@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Regenerate every table and figure of the paper in one run.
 
-Drives the experiment registry and prints each artefact in the same
-rows/series shape the paper reports.  Pass ``--full`` for the longer,
+Drives the experiment registry through one engine session and prints
+each artefact in the same rows/series shape the paper reports (the
+headline ``summary`` reuses the Fig. 5-7 results printed before it).  Pass ``--full`` for the longer,
 closer-to-paper sampling volumes (minutes instead of seconds).
 
 Run:  python examples/reproduce_paper.py [--full] [--seed N]
@@ -11,7 +12,8 @@ Run:  python examples/reproduce_paper.py [--full] [--seed N]
 import argparse
 import time
 
-from repro.experiments import EXPERIMENTS, run_experiment
+from repro import ExecutionEngine
+from repro.experiments import EXPERIMENTS
 
 
 def main() -> None:
@@ -24,15 +26,18 @@ def main() -> None:
     args = parser.parse_args()
 
     ids = args.only or list(EXPERIMENTS)
+    engine = ExecutionEngine()
     t0 = time.time()
-    for eid in ids:
-        t1 = time.time()
-        result = run_experiment(eid, fast=not args.full, seed=args.seed)
-        print(result.render())
-        if result.paper_reference:
-            print(f"[paper reference: {result.paper_reference}]")
-        print(f"[{eid} took {time.time() - t1:.1f}s]")
-        print()
+    with engine.session():
+        for eid in ids:
+            t1 = time.time()
+            result = engine.run_experiment(eid, fast=not args.full,
+                                           seed=args.seed)
+            print(result.render())
+            if result.paper_reference:
+                print(f"[paper reference: {result.paper_reference}]")
+            print(f"[{eid} took {time.time() - t1:.1f}s]")
+            print()
     print(f"total: {time.time() - t0:.1f}s for {len(ids)} experiments")
 
 

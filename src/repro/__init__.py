@@ -79,22 +79,9 @@ def quick_compare(app: str, platform: str = "fugaku", nodes: int = 1024,
     Returns the :class:`repro.runtime.Comparison` for the requested
     point.
     """
-    from .platform import compare_platforms, get_platform, platform_names
+    from .platform import compare_platforms, get_platform
 
-    aliases = {
-        "fugaku": "fugaku-production",
-        "a64fx": "fugaku-production",
-        "ofp": "ofp-default",
-        "oakforest": "ofp-default",
-        "oakforest-pacs": "ofp-default",
-        "knl": "ofp-default",
-    }
-    name = aliases.get(platform.lower(), platform)
-    if name not in platform_names():
-        raise ConfigurationError(
-            f"unknown platform {platform!r}; known: {platform_names()} "
-            f"(aliases: {sorted(aliases)})")
-    return compare_platforms(get_platform(name), app, [nodes],
+    return compare_platforms(get_platform(platform), app, [nodes],
                              n_runs=n_runs, seed=seed)[0]
 
 

@@ -57,7 +57,9 @@ class ExecutionEngine:
 
     def __init__(self, options: Optional[PerfContext] = None) -> None:
         self.options = options
-        self._depth = 0
+        #: The experiment results of the open session, by (id, fast,
+        #: seed); None outside a session.
+        self._results: Optional[dict] = None
 
     @classmethod
     def from_options(cls, **knobs: Any) -> "ExecutionEngine":
@@ -75,16 +77,25 @@ class ExecutionEngine:
         innermost installed context keeps applying, so the serial
         default CLI path stays byte-identical to the pre-engine code
         and one outer session shares its pool with every inner call.
+
+        The outermost session also scopes the experiment results: an
+        experiment run twice in it, or derived from others (see
+        :data:`~repro.experiments.registry.DERIVED`), is computed once,
+        and every caller gets the same (read-only) result object.  The
+        results are dropped when the session ends.
         """
-        if self.options is None or self._depth > 0:
+        if self._results is not None:
             yield get_context()
             return
-        self._depth += 1
+        self._results = {}
         try:
-            with install(self.options) as ctx:
-                yield ctx
+            if self.options is None:
+                yield get_context()
+            else:
+                with install(self.options) as ctx:
+                    yield ctx
         finally:
-            self._depth -= 1
+            self._results = None
 
     # -- spec execution -----------------------------------------------
 
@@ -126,10 +137,11 @@ class ExecutionEngine:
         ``platform`` re-targets the experiment; only runners whose
         signature is platform-parameterised accept it (anything else
         is a :class:`~repro.errors.ConfigurationError`, because those
-        layouts are fixed by the paper).
+        layouts are fixed by the paper).  A re-targeted result is not
+        kept for reuse.
         """
         from .errors import ConfigurationError
-        from .experiments.registry import EXPERIMENTS
+        from .experiments.registry import DERIVED, EXPERIMENTS
 
         try:
             _, runner = EXPERIMENTS[experiment_id]
@@ -149,8 +161,20 @@ class ExecutionEngine:
                     "paper); run it without --spec/platform"
                 )
             kwargs["platform"] = platform
+        key = (experiment_id, fast, seed)
         with self.session():
-            return runner(**kwargs)
+            if platform is None and key in self._results:
+                return self._results[key]
+            if experiment_id in DERIVED:
+                inputs, derive = DERIVED[experiment_id]
+                result = derive(*(self.run_experiment(i, fast=fast,
+                                                      seed=seed)
+                                  for i in inputs))
+            else:
+                result = runner(**kwargs)
+            if platform is None:
+                self._results[key] = result
+            return result
 
     def run_experiments(self, ids: Iterable[str], fast: bool = True,
                         seed: int = 0,

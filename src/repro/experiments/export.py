@@ -1,9 +1,9 @@
 """Export experiment results to files for plotting and archival.
 
-``pytest benchmarks/`` already writes the paper-style text renderings;
-this module additionally exports the machine-readable data: one JSON per
-experiment (the full ``data`` dict plus metadata) and one CSV per figure
-series, so results drop straight into matplotlib/pandas/gnuplot.
+Next to each experiment's paper-style text rendering this module
+exports the machine-readable data: one JSON per experiment (the full
+``data`` dict plus metadata) and one CSV per figure series, so results
+drop straight into matplotlib/pandas/gnuplot.
 """
 
 from __future__ import annotations
@@ -13,39 +13,44 @@ import json
 import pathlib
 from typing import Iterable
 
+import numpy as np
+
 from ..errors import ConfigurationError
 from .registry import EXPERIMENTS
 from .report import ExperimentResult
 
 
-def _jsonable(value):
-    """Coerce numpy scalars/arrays so json.dumps succeeds."""
-    import numpy as np
-
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+def _numpy_leaf(value):
+    """The JSON value of a numpy array or scalar (``json.dumps``'s
+    ``default`` hook: called only for values json cannot encode)."""
     if isinstance(value, np.ndarray):
         return value.tolist()
-    if isinstance(value, (np.integer,)):
+    if isinstance(value, np.integer):
         return int(value)
-    if isinstance(value, (np.floating,)):
+    if isinstance(value, np.floating):
         return float(value)
-    return value
+    raise TypeError(
+        f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def export_json(result: ExperimentResult, directory: pathlib.Path) -> pathlib.Path:
-    """Write one experiment's data + metadata as JSON; returns the path."""
+    """Write one experiment's data + metadata as JSON; returns the path.
+
+    Every key in an experiment's ``data`` and ``paper_reference`` is a
+    string, so ``sort_keys`` orders them as text
+    (``tests/test_experiments_export.py`` holds this for every
+    registered experiment).
+    """
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / f"{result.experiment_id}.json"
     payload = {
         "experiment_id": result.experiment_id,
         "title": result.title,
-        "paper_reference": _jsonable(result.paper_reference),
-        "data": _jsonable(result.data),
+        "paper_reference": result.paper_reference,
+        "data": result.data,
     }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True,
+                               default=_numpy_leaf) + "\n")
     return path
 
 
@@ -95,7 +100,9 @@ def export_all(
     ``engine`` (an :class:`~repro.engine.ExecutionEngine`) selects the
     execution context; the default ambient engine keeps the historical
     behaviour.  The written bytes are identical for any engine — that
-    is the whole point of the shared core.
+    is the whole point of the shared core.  The ids run in one engine
+    session, so ``summary`` reuses the Fig. 5–7 results exported with
+    it.
     """
     from ..engine import ExecutionEngine
 
@@ -107,11 +114,12 @@ def export_all(
     if unknown:
         raise ConfigurationError(f"unknown experiment ids: {unknown}")
     out: dict[str, list[str]] = {}
-    for eid in ids:
-        result = engine.run_experiment(eid, fast=fast, seed=seed)
-        paths = [str(export_json(result, directory))]
-        paths += [str(p) for p in export_series_csv(result, directory)]
-        (directory / f"{eid}.txt").write_text(result.render() + "\n")
-        paths.append(str(directory / f"{eid}.txt"))
-        out[eid] = paths
+    with engine.session():
+        for eid in ids:
+            result = engine.run_experiment(eid, fast=fast, seed=seed)
+            paths = [str(export_json(result, directory))]
+            paths += [str(p) for p in export_series_csv(result, directory)]
+            (directory / f"{eid}.txt").write_text(result.render() + "\n")
+            paths.append(str(directory / f"{eid}.txt"))
+            out[eid] = paths
     return out

@@ -41,12 +41,14 @@ def _curve(
     pool = float(n_nodes) * cores_per_node * n_iter
     if sources:
         mixture = IterationMixture(sources, config.quantum)
-        xs, cdf = mixture.cdf_curve(n_points=256, n_samples=pool)
+        # The grid ends at the expected observed maximum of the pool.
+        expected_max = mixture.expected_max(pool)
+        xs, cdf = mixture.cdf_curve(n_points=256, x_max=expected_max)
         quantiles = {
             "p50": mixture.quantile(0.5),
             "p999": mixture.quantile(0.999),
             "p999999": mixture.quantile(0.999999),
-            "expected_max": mixture.expected_max(pool),
+            "expected_max": expected_max,
         }
     else:
         xs = np.array([config.quantum, config.quantum])

@@ -45,6 +45,13 @@ EXPERIMENTS: dict[str, tuple[str, Callable[..., ExperimentResult]]] = {
     "faults": ("Fault sensitivity at scale", faultsim.run),
 }
 
+#: Experiments derived from other experiments' results: id -> (input
+#: ids, function of those results in that order).  The engine runs an
+#: input only when the same session has not produced it already.
+DERIVED: dict[str, tuple[tuple[str, ...], Callable[..., ExperimentResult]]] = {
+    "summary": (summary.INPUTS, summary.from_results),
+}
+
 
 def run_experiment(experiment_id: str, fast: bool = True, seed: int = 0,
                    platform=None) -> ExperimentResult:

@@ -187,19 +187,16 @@ class IterationMixture:
         return self.quantile(1.0 - 1.0 / n_samples)
 
     def cdf_curve(self, n_points: int = 512,
-                  n_samples: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+                  x_max: float | None = None) -> tuple[np.ndarray, np.ndarray]:
         """(lengths, cdf) arrays for plotting/reporting the Fig. 4 curve.
-        With ``n_samples`` the x-range is clipped at the expected
-        observed maximum for that pool size."""
+        ``x_max`` clips the x-range, e.g. at :meth:`expected_max` of
+        the pool size; by default it ends at the longest iteration."""
         if n_points < 2:
             raise ConfigurationError("n_points must be >= 2")
-        x_max = (
-            self.expected_max(n_samples)
-            if n_samples is not None
-            else self.t_work + max(
+        if x_max is None:
+            x_max = self.t_work + max(
                 (s.max_length for s in self.sources), default=0.0
             )
-        )
         x_max = max(x_max, self.t_work * (1.0 + 1e-9))
         x = np.linspace(self.t_work, x_max, n_points)
         cdf = 1.0 - self.survival(x)

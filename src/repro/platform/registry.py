@@ -59,14 +59,27 @@ def platform_names() -> list[str]:
     return list(_REGISTRY)
 
 
+#: Short names for the two paper machines' default platforms
+#: (case-insensitive); a registered name takes precedence.
+PLATFORM_ALIASES: dict[str, str] = {
+    "fugaku": "fugaku-production",
+    "a64fx": "fugaku-production",
+    "ofp": "ofp-default",
+    "oakforest": "ofp-default",
+    "oakforest-pacs": "ofp-default",
+    "knl": "ofp-default",
+}
+
+
 def get_platform(name: str) -> PlatformSpec:
-    """Look up a registered platform spec by name."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
+    """Look up a registered platform spec by name or alias."""
+    spec = _REGISTRY.get(name) \
+        or _REGISTRY.get(PLATFORM_ALIASES.get(name.lower(), ""))
+    if spec is None:
         raise ConfigurationError(
-            f"unknown platform {name!r}; known: {platform_names()}"
-        ) from None
+            f"unknown platform {name!r}; known: {platform_names()} "
+            f"(aliases: {sorted(PLATFORM_ALIASES)})")
+    return spec
 
 
 def register_platform(spec: PlatformSpec,

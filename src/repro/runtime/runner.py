@@ -61,20 +61,6 @@ class Breakdown:
                 + self.noise + self.init)
 
 
-#: Two-sided 97.5% Student-t critical values for small degrees of
-#: freedom — the scipy-free fallback for :func:`t_critical` (values from
-#: the standard t table; beyond the table the normal 1.959964 limit is
-#: close to the true value to < 0.2%).
-_T_TABLE = {
-    1: 12.7062, 2: 4.3027, 3: 3.1824, 4: 2.7764, 5: 2.5706,
-    6: 2.4469, 7: 2.3646, 8: 2.3060, 9: 2.2622, 10: 2.2281,
-    11: 2.2010, 12: 2.1788, 13: 2.1604, 14: 2.1448, 15: 2.1314,
-    16: 2.1199, 17: 2.1098, 18: 2.1009, 19: 2.0930, 20: 2.0860,
-    21: 2.0796, 22: 2.0739, 23: 2.0687, 24: 2.0639, 25: 2.0595,
-    26: 2.0555, 27: 2.0518, 28: 2.0484, 29: 2.0452, 30: 2.0423,
-}
-_T_NORMAL_LIMIT = 1.959964
-
 #: Memo of ``t.ppf(0.975, df)`` keyed by ``df`` — ci95 sits on the
 #: sweep hot path and must not re-enter scipy's ppf machinery (or even
 #: the lazy ``from scipy import stats``) for every result.
@@ -82,24 +68,15 @@ _T_CRIT_MEMO: dict[int, float] = {}
 
 
 def t_critical(df: int) -> float:
-    """``t.ppf(0.975, df)``, memoized per ``df``.
-
-    scipy stays an optional import: when it is unavailable the
-    hard-coded small-df table (exact to 4 decimals up to df=30, then
-    the normal limit) takes over, so confidence intervals never pull a
-    hard scipy dependency into the runtime path.
-    """
+    """``t.ppf(0.975, df)``, memoized per ``df``."""
     if df <= 0:
         raise ConfigurationError("df must be positive")
     hit = _T_CRIT_MEMO.get(df)
     if hit is not None:
         return hit
-    try:
-        from scipy import stats
-    except ImportError:
-        value = _T_TABLE.get(df, _T_NORMAL_LIMIT)
-    else:
-        value = float(stats.t.ppf(0.975, df))
+    from scipy import stats
+
+    value = float(stats.t.ppf(0.975, df))
     _T_CRIT_MEMO[df] = value
     return value
 

@@ -23,17 +23,6 @@ def _write(path, payload):
     return str(path)
 
 
-def test_loads_pytest_benchmark_format(tmp_path):
-    path = tmp_path / "b.json"
-    _write(path, {"benchmarks": [
-        {"name": "bench_fig5", "stats": {"mean": 0.5, "stddev": 0.01}},
-        {"name": "bench_fig6", "stats": {"mean": 0.25}},
-    ]})
-    assert bench_compare.load_means(path) == {
-        "bench_fig5": 0.5, "bench_fig6": 0.25,
-    }
-
-
 def test_loads_plain_mapping_format(tmp_path):
     path = tmp_path / "b.json"
     _write(path, {"perfsmoke_serial_uncached": 0.9, "opt": 0.3})

@@ -8,11 +8,14 @@ the jobs/cache configuration.
 
 from __future__ import annotations
 
+import pathlib
+
 import pytest
 
 from repro.engine import ExecutionEngine
 from repro.errors import ConfigurationError
-from repro.experiments import run_experiment
+from repro.experiments import EXPERIMENTS, run_all, run_experiment, summary
+from repro.experiments.export import export_all, export_json
 from repro.obs.metrics import MetricsRegistry
 from repro.perf import PerfContext, RunCache, get_context, perf_context
 from repro.platform import RunSpec, get_platform, run_cells
@@ -124,3 +127,81 @@ def test_broken_pool_does_not_leak_into_the_next_session():
         assert ctx.pool() is None
     with engine.session() as ctx:
         assert ctx.pool() is not None
+
+
+# -- one result per experiment per session ------------------------------
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def _cells(fn) -> int:
+    """How many sweep cells ``fn`` sends to the executor."""
+    counters = MetricsRegistry()
+    with perf_context(counters=counters):
+        fn()
+    return counters.counts.get("executor.cells", 0)
+
+
+def test_run_all_summary_matches_standalone_golden(tmp_path):
+    result = run_all(fast=True, seed=0)["summary"]
+    assert result.text.encode("utf-8") == \
+        (GOLDEN / "summary_fast_seed0.txt").read_bytes()
+    assert export_json(result, tmp_path).read_bytes() == \
+        (GOLDEN / "summary_fast_seed0.json").read_bytes()
+
+
+def test_export_all_summary_matches_standalone_golden(tmp_path):
+    export_all(tmp_path, fast=True, seed=0)
+    assert (tmp_path / "summary.json").read_bytes() == \
+        (GOLDEN / "summary_fast_seed0.json").read_bytes()
+    # The standalone text is the golden (test_artefact_goldens.py).
+    assert (tmp_path / "summary.txt").read_text("utf-8") == \
+        run_experiment("summary").render() + "\n"
+
+
+def test_from_results_matches_standalone_full_summary(tmp_path):
+    inputs = [run_experiment(eid, fast=False, seed=0)
+              for eid in summary.INPUTS]
+    derived = summary.from_results(*inputs)
+    standalone = summary.run(fast=False, seed=0)
+    assert derived.render() == standalone.render()
+    assert export_json(derived, tmp_path / "derived").read_bytes() == \
+        export_json(standalone, tmp_path / "standalone").read_bytes()
+
+
+def test_run_all_runs_each_fig5_to_7_cell_once():
+    """``summary`` reuses the session's Fig. 5-7 results, so a fast
+    ``run_all`` sends exactly the Fig. 5-7 cells fewer to the executor
+    than running every experiment on its own."""
+    shared = _cells(lambda: run_all(fast=True, seed=0))
+    separate = sum(_cells(lambda: run_experiment(eid))
+                   for eid in EXPERIMENTS)
+    fig5_to_7 = sum(_cells(lambda: run_experiment(eid))
+                    for eid in summary.INPUTS)
+    assert fig5_to_7 > 0
+    assert separate - shared == fig5_to_7
+
+
+def test_results_are_kept_for_one_session_only():
+    engine = ExecutionEngine()
+    once = _cells(lambda: engine.run_experiment("fig7"))
+
+    def twice_in_one_session():
+        with engine.session():
+            first = engine.run_experiment("fig7")
+            assert engine.run_experiment("fig7") is first
+
+    assert _cells(twice_in_one_session) == once
+    # Separate calls share nothing: no result outlives its session.
+    assert _cells(lambda: (engine.run_experiment("fig7"),
+                           engine.run_experiment("fig7"))) == 2 * once
+
+
+def test_retargeted_results_are_not_reused():
+    engine = ExecutionEngine()
+    untuned = get_platform("fugaku-untuned")
+    with engine.session():
+        default = engine.run_experiment("fig7")
+        retargeted = engine.run_experiment("fig7", platform=untuned)
+        assert engine.run_experiment("fig7") is default
+    assert retargeted.render() != default.render()

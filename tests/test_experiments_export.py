@@ -75,3 +75,41 @@ def test_export_all_every_registered_experiment(tmp_path):
     for eid in EXPERIMENTS:
         assert (tmp_path / f"{eid}.json").exists()
         assert (tmp_path / f"{eid}.txt").exists()
+
+
+def _keys(value):
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield key
+            yield from _keys(item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _keys(item)
+
+
+def test_every_exported_key_is_a_string():
+    """``export_json`` hands ``data`` to ``json.dumps(sort_keys=True)``
+    as it is: a non-string key would be sorted by its own type, not as
+    the text it is written as."""
+    from repro.experiments import run_all
+
+    for eid, result in run_all(fast=True, seed=0).items():
+        keys = list(_keys(result.data)) + list(_keys(result.paper_reference))
+        assert all(isinstance(k, str) for k in keys), eid
+
+
+def test_json_numpy_leaves_encode_as_python_numbers(tmp_path):
+    import numpy as np
+
+    from repro.experiments.report import ExperimentResult
+
+    result = ExperimentResult(
+        experiment_id="np", title="numpy leaves", text="",
+        data={"a": np.arange(3), "i": np.int64(7), "f": np.float32(0.5),
+              "d": np.float64(0.1)})
+    payload = json.loads(export_json(result, tmp_path).read_text())
+    assert payload["data"] == {"a": [0, 1, 2], "i": 7, "f": 0.5, "d": 0.1}
+    bad = ExperimentResult(experiment_id="bad", title="", text="",
+                           data={"x": object()})
+    with pytest.raises(TypeError):
+        export_json(bad, tmp_path)

@@ -194,7 +194,7 @@ def test_quantile_early_exit_matches_200_step_bisection(platform):
 
 def test_cdf_curve_shape():
     m = _mixture()
-    xs, cdf = m.cdf_curve(n_points=64, n_samples=1e6)
+    xs, cdf = m.cdf_curve(n_points=64, x_max=m.expected_max(1e6))
     assert len(xs) == 64
     assert np.all(np.diff(cdf) >= -1e-12)
     assert xs[0] == pytest.approx(6.5e-3)

@@ -15,8 +15,8 @@ Two kinds of entries land in the file:
 * same-run pairs (``apprunner_64trials_loop`` vs
   ``..._batched``, ``mpi_fwq_dense`` vs ``..._streamed``,
   ``table2_stats_dense`` vs ``..._sparse``, ``claim_next_cold`` vs
-  ``..._memo``, ``fleet_renders_per_aggregator`` vs ``..._shared``) —
-  their ratio is
+  ``..._memo``, ``fleet_renders_per_aggregator`` vs ``..._shared``,
+  ``summary_standalone`` vs ``summary_from_results``) — their ratio is
   machine-independent, so the budget ``min_speedup``/``vs`` rules on
   them are the hard CI gates.
 """
@@ -34,7 +34,7 @@ import pytest
 
 from repro.apps import ALL_PROFILES
 from repro.apps.fwq import FwqConfig, run_mpi_fwq
-from repro.experiments import run_experiment
+from repro.experiments import run_experiment, summary
 from repro.noise import (
     multi_core_fwq,
     noise_sources_for,
@@ -342,3 +342,22 @@ def test_fleet_renders_share_one_manifest_scan(tmp_path):
     print(f"\nfleet renders over 1000 DONE jobs: per aggregator "
           f"{t_per * 1e3:.1f} ms, shared {t_shared * 1e3:.1f} ms -> "
           f"{t_per / t_shared:.2f}x")
+
+
+@pytest.mark.perfsmoke
+def test_summary_from_results_faster_than_standalone():
+    """Same-run pair: a standalone full ``summary.run``, which runs
+    Fig. 5-7 itself, against ``summary.from_results`` on precomputed
+    Fig. 5-7 results, the path an engine session takes when it holds
+    them already.  The ratio is a hard ``vs`` budget gate."""
+    inputs = [run_experiment(eid, fast=False, seed=0)
+              for eid in summary.INPUTS]
+    assert summary.from_results(*inputs).render() == \
+        summary.run(fast=False, seed=0).render()
+    t_standalone = _best_of(3, lambda: summary.run(fast=False, seed=0))
+    t_shared = _best_of(5, lambda: summary.from_results(*inputs))
+    _record(summary_standalone=t_standalone,
+            summary_from_results=t_shared)
+    print(f"\nfull summary: standalone {t_standalone * 1e3:.1f} ms, "
+          f"from precomputed Fig. 5-7 {t_shared * 1e3:.3f} ms -> "
+          f"{t_standalone / t_shared:.0f}x")

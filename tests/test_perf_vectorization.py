@@ -221,21 +221,6 @@ def test_t_critical_memoizes(monkeypatch):
     assert t_critical(7) == first
 
 
-def test_t_critical_scipy_free_fallback(monkeypatch):
-    monkeypatch.setattr(runner_mod, "_T_CRIT_MEMO", {})
-    monkeypatch.setitem(sys.modules, "scipy", None)
-    assert t_critical(5) == runner_mod._T_TABLE[5]
-    assert t_critical(30) == runner_mod._T_TABLE[30]
-    assert t_critical(200) == runner_mod._T_NORMAL_LIMIT
-
-
-def test_t_critical_table_matches_scipy_when_available():
-    scipy = pytest.importorskip("scipy")
-    for df in (1, 5, 30):
-        assert runner_mod._T_TABLE[df] == pytest.approx(
-            float(scipy.stats.t.ppf(0.975, df)), abs=5e-4)
-
-
 def test_t_critical_rejects_bad_df():
     with pytest.raises(ConfigurationError):
         t_critical(0)

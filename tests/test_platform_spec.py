@@ -227,6 +227,18 @@ def test_cli_platform_list_and_show(capsys):
     assert PlatformSpec.from_json(shown) == get_platform("fugaku-production")
 
 
+@pytest.mark.parametrize("alias, name", [("ofp", "ofp-default"),
+                                         ("fugaku", "fugaku-production")])
+def test_cli_platform_show_resolves_aliases(capsys, alias, name):
+    """``platform show`` takes the aliases ``compare --platform`` does."""
+    from repro.cli import main
+
+    assert main(["platform", "show", name]) == 0
+    expected = capsys.readouterr().out
+    assert main(["platform", "show", alias]) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_cli_validate_and_run_spec_file(tmp_path, capsys):
     from repro.cli import main
 

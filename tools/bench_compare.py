@@ -4,16 +4,12 @@
     python tools/bench_compare.py baseline.json current.json
     python tools/bench_compare.py baseline.json current.json --threshold 0.1
 
-Accepts either timing format the repo produces:
-
-* pytest-benchmark exports (``pytest --benchmark-json=...``):
-  ``{"benchmarks": [{"name": ..., "stats": {"mean": ...}}, ...]}``;
-* plain mappings (e.g. ``benchmarks/out/BENCH_perfsmoke.json``):
-  ``{"name": seconds, ...}``.
+Both files are plain ``{"name": seconds, ...}`` mappings, the format
+``benchmarks/out/BENCH_perfsmoke.json`` is written in.
 
 Benchmarks present in only one file are reported but never fail the
 comparison (suites grow and shrink); a common benchmark whose current
-mean exceeds baseline by more than ``--threshold`` (default 20%) does.
+time exceeds baseline by more than ``--threshold`` (default 20%) does.
 Exit status: 0 = no regression, 1 = regression, 2 = usage error.
 
 ``--budget budgets.json`` additionally enforces per-benchmark speed
@@ -49,24 +45,16 @@ import sys
 
 
 def load_means(path: pathlib.Path) -> dict[str, float]:
-    """``{benchmark name: mean seconds}`` from either supported format."""
+    """``{benchmark name: seconds}`` from a plain mapping file."""
     try:
         payload = json.loads(path.read_text())
     except (OSError, ValueError) as exc:
         raise SystemExit(f"error: cannot read {path}: {exc}")
-    if isinstance(payload, dict) and isinstance(
-            payload.get("benchmarks"), list):
-        return {
-            b["name"]: float(b["stats"]["mean"])
-            for b in payload["benchmarks"]
-        }
     if isinstance(payload, dict) and all(
             isinstance(v, (int, float)) for v in payload.values()):
         return {str(k): float(v) for k, v in payload.items()}
     raise SystemExit(
-        f"error: {path} is neither a pytest-benchmark export nor a "
-        f"plain {{name: seconds}} mapping"
-    )
+        f"error: {path} is not a plain {{name: seconds}} mapping")
 
 
 def compare(baseline: dict[str, float], current: dict[str, float],
