@@ -8,7 +8,8 @@ Walks through the real deployment flow on a Fugaku node:
 3. a process starts on McKernel with its Linux proxy twin;
 4. performance-sensitive syscalls are served locally, the rest are
    delegated over IKC — with the fd table living on the Linux side;
-5. the Tofu PicoDriver registers memory on the fast path;
+5. RDMA registration is priced on the Tofu PicoDriver fast path, the
+   delegated path and Linux's ioctl path;
 6. process exit tears everything down (and shows the TLB invalidation
    volume that §4.2.2 worries about).
 
@@ -74,21 +75,18 @@ def main() -> None:
           f"({proc.delegated_calls} calls, IKC round trip "
           f"{fmt_time(partition.ikc.round_trip)})\n")
 
-    # --- 5: PicoDriver ---------------------------------------------------------
-    assert mck.picodriver is not None
-    stag, cost = mck.picodriver.register(vma.start, vma.length)
-    print("Tofu PicoDriver registration (fast path, §5.1):")
-    print(f"  STAG {stag.stag_id} covering {fmt_bytes(stag.length)} in "
-          f"{fmt_time(cost)}")
-    print(f"  the same registration via the OS paths would cost:")
+    # --- 5: RDMA registration ------------------------------------------------
     from repro.kernel import LinuxKernel
 
     linux = LinuxKernel(node, fugaku_production())
-    print(f"    Linux ioctl         : "
-          f"{fmt_time(registration_time(linux, vma.length))}")
     no_pico = McKernelInstance(node, ihk, partition, picodriver=False)
+    print(f"RDMA registration of {fmt_bytes(vma.length)} (§5.1):")
+    print(f"    Tofu PicoDriver     : "
+          f"{fmt_time(registration_time(mck, vma.length))}")
     print(f"    McKernel delegated  : "
-          f"{fmt_time(registration_time(no_pico, vma.length))}\n")
+          f"{fmt_time(registration_time(no_pico, vma.length))}")
+    print(f"    Linux ioctl         : "
+          f"{fmt_time(registration_time(linux, vma.length))}\n")
 
     # --- 6: teardown ----------------------------------------------------------
     invalidated = proc.exit()

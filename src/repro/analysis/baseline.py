@@ -121,6 +121,7 @@ class Baseline:
             {"rule": e.rule, "path": e.path, "scope": e.scope,
              "snippet": e.snippet, "justification": e.justification}
             for e in keep]
-        target.write_text(json.dumps(payload, indent=2) + "\n",
-                          encoding="utf-8")
+        target.write_text(
+            json.dumps(payload, indent=2, ensure_ascii=False) + "\n",
+            encoding="utf-8")
         return len(stale)

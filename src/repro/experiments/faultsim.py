@@ -23,8 +23,7 @@ bit-identical for any ``--jobs`` value and across repeated runs.
 from __future__ import annotations
 
 from ..faults import FaultSpec
-from ..runtime.batchsched import BatchJob, BatchScheduler
-from ..runtime.job import OsChoice
+from ..runtime.batchsched import BatchJob, BatchScheduler, OsChoice
 from ..sim.engine import Engine
 from .report import ExperimentResult, format_table
 

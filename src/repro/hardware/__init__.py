@@ -1,12 +1,6 @@
-"""Hardware models: CPU topology, NUMA, TLB, caches, barriers, machines."""
+"""Hardware models: CPU topology, NUMA, TLB, caches, machines."""
 
 from .cache import A64FX_L2, KNL_L2, CacheSpec, SectorCache
-from .hwbarrier import (
-    A64FX_BARRIER,
-    KNL_BARRIER,
-    BarrierSpec,
-    HardwareBarrierAllocator,
-)
 from .machines import (
     Machine,
     NodeSpec,
@@ -31,10 +25,6 @@ __all__ = [
     "SectorCache",
     "A64FX_L2",
     "KNL_L2",
-    "BarrierSpec",
-    "HardwareBarrierAllocator",
-    "A64FX_BARRIER",
-    "KNL_BARRIER",
     "Machine",
     "NodeSpec",
     "NODES_PER_RACK",

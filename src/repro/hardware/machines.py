@@ -14,7 +14,6 @@ from dataclasses import dataclass, field, replace
 from ..errors import ConfigurationError
 from ..units import gib
 from .cache import A64FX_L2, KNL_L2, CacheSpec
-from .hwbarrier import A64FX_BARRIER, KNL_BARRIER, BarrierSpec
 from .numa import MemoryKind, NumaDomain, NumaLayout, NumaRole
 from .tlb import A64FX_TLB, KNL_TLB, TlbSpec
 from .topology import CpuTopology
@@ -30,7 +29,6 @@ class NodeSpec:
     numa: NumaLayout
     tlb: TlbSpec
     l2: CacheSpec
-    barrier: BarrierSpec
     #: Base (smallest) page size the OS uses on this node, bytes.
     base_page_size: int
     #: Peak per-core compute throughput used to express the paper's
@@ -94,7 +92,6 @@ def _knl_node() -> NodeSpec:
         numa=numa,
         tlb=KNL_TLB,
         l2=KNL_L2,
-        barrier=KNL_BARRIER,
         base_page_size=4 * 1024,
         # 3.05 TF/node over 68 cores.
         flops_per_core=3.05e12 / 68,
@@ -123,7 +120,6 @@ def _a64fx_node(cores: int = 50) -> NodeSpec:
         numa=numa,
         tlb=A64FX_TLB,
         l2=A64FX_L2,
-        barrier=A64FX_BARRIER,
         base_page_size=64 * 1024,  # RHEL aarch64 uses 64 KiB base pages
         # 3.38 TF/node (dp, boost off) over 48 app cores.
         flops_per_core=3.38e12 / 48,

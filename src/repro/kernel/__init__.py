@@ -5,7 +5,6 @@ from .buddy import BlockRange, BuddyAllocator
 from .cgroup import Cgroup, make_fugaku_hierarchy
 from .costmodel import CostModel, LINUX_COSTS, MCKERNEL_COSTS
 from .ftrace import ActorSummary, Ftrace, TraceEvent
-from .hugetlb import HugeTlbPool, HugeTlbStats
 from .irq import IrqDescriptor, IrqRouter, default_irq_table
 from .linux import LinuxKernel, SYSTEM_NUMA_FRACTION
 from .pagetable import (
@@ -19,7 +18,6 @@ from .pagetable import (
     Vma,
     VmaKind,
 )
-from .scheduler import CfsScheduler, CooperativeScheduler, SchedTask
 from .tasks import (
     BindingRule,
     SystemTask,
@@ -48,8 +46,6 @@ __all__ = [
     "ActorSummary",
     "Ftrace",
     "TraceEvent",
-    "HugeTlbPool",
-    "HugeTlbStats",
     "IrqDescriptor",
     "IrqRouter",
     "default_irq_table",
@@ -64,9 +60,6 @@ __all__ = [
     "SharedFrame",
     "Vma",
     "VmaKind",
-    "CfsScheduler",
-    "CooperativeScheduler",
-    "SchedTask",
     "BindingRule",
     "SystemTask",
     "standard_task_population",

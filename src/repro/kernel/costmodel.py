@@ -38,13 +38,11 @@ class CostModel:
     context_switch: float
     #: ioctl into a device driver (on top of ``syscall``).
     ioctl_extra: float
-    #: Memory registration (STAG/verbs) driver work per MiB registered.
-    reg_per_mib: float
 
     def __post_init__(self) -> None:
         for field_name in (
             "syscall", "delegation_overhead", "fault_fixed",
-            "fault_huge_extra", "context_switch", "ioctl_extra", "reg_per_mib",
+            "fault_huge_extra", "context_switch", "ioctl_extra",
         ):
             if getattr(self, field_name) < 0:
                 raise ConfigurationError(f"{field_name} must be non-negative")
@@ -74,21 +72,6 @@ class CostModel:
         n_faults = -(-nbytes // page_bytes) if nbytes else 0
         return n_faults * self.page_fault_cost(page_bytes, kind)
 
-    def registration_cost(self, nbytes: int, delegated: bool,
-                          fast_path: bool = False) -> float:
-        """RDMA memory registration of ``nbytes``.
-
-        ``fast_path`` models the Tofu PicoDriver (§5.1): the ioctl trap
-        and delegation disappear because the LWK performs registration
-        directly; only the per-MiB pinning work remains.
-        """
-        if nbytes < 0:
-            raise ConfigurationError("nbytes must be non-negative")
-        work = (nbytes / (1024 * 1024)) * self.reg_per_mib
-        if fast_path:
-            return work
-        return self.syscall_cost(delegated) + self.ioctl_extra + work
-
 
 #: Linux on A64FX / KNL.  RHEL-class numbers: ~600 ns syscall (with
 #: mitigations), ~1.1 us anonymous fault, ~12 GB/s single-core memset.
@@ -101,7 +84,6 @@ LINUX_COSTS = CostModel(
     zero_bandwidth=12e9,
     context_switch=us(1.8),
     ioctl_extra=us(1.2),
-    reg_per_mib=us(18.0),
 )
 
 #: McKernel.  Locally-implemented syscalls and the fault path are leaner
@@ -117,5 +99,4 @@ MCKERNEL_COSTS = CostModel(
     zero_bandwidth=12e9,
     context_switch=us(0.9),
     ioctl_extra=us(1.2),
-    reg_per_mib=us(18.0),
 )

@@ -2,9 +2,9 @@
 
 A :class:`LinuxKernel` boots a tuning configuration onto a node design:
 it builds the cgroup hierarchy, applies the virtual-NUMA split, sizes
-the buddy allocators, constructs hugeTLBfs pools, routes IRQs, places
-the system task population, and exposes the :class:`OsInstance`
-interface the runtime layer consumes.
+the buddy allocators, routes IRQs, places the system task population,
+and exposes the :class:`OsInstance` interface the runtime layer
+consumes.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .base import OsInstance
 from .buddy import BuddyAllocator
 from .cgroup import Cgroup, make_fugaku_hierarchy
 from .costmodel import CostModel, LINUX_COSTS
-from .hugetlb import HugeTlbPool
 from .irq import IrqRouter, default_irq_table
 from .pagetable import (
     AARCH64_64K,
@@ -140,7 +139,6 @@ class LinuxKernel(OsInstance):
 
         # -- lazily-built memory pools (per memory_scale) ----------------------
         self._buddies: dict[float, BuddyAllocator] = {}
-        self._hugetlb: dict[float, HugeTlbPool] = {}
 
     # -- OsInstance: CPU layout --------------------------------------------
 
@@ -189,26 +187,6 @@ class LinuxKernel(OsInstance):
             buddy = BuddyAllocator(n_pages)
             self._buddies[memory_scale] = buddy
         return buddy
-
-    def hugetlb_pool(self, memory_scale: float = 1.0) -> HugeTlbPool:
-        """The node's hugeTLBfs pool (requires the HUGETLBFS policy)."""
-        if self.tuning.large_pages is not LargePagePolicy.HUGETLBFS:
-            raise ConfigurationError(
-                f"{self.tuning.name} does not use hugeTLBfs"
-            )
-        pool = self._hugetlb.get(memory_scale)
-        if pool is None:
-            pool = HugeTlbPool(
-                geometry=self.app_page_geometry(),
-                buddy=self.app_buddy(memory_scale),
-                page_kind=self.app_page_kind(),
-                boot_pool_pages=0,  # Fugaku: no boot reservation
-                overcommit_limit=(
-                    None if self.tuning.hugetlb_overcommit else 0
-                ),
-            )
-            self._hugetlb[memory_scale] = pool
-        return pool
 
     def make_address_space(self, memory_scale: float = 1.0) -> AddressSpace:
         return AddressSpace(self.app_page_geometry(), self.app_buddy(memory_scale))

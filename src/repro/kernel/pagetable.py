@@ -9,8 +9,7 @@ The paper's §4.1.3 is entirely about this machinery:
   this base size is **512 MiB**, which "easily leads to memory
   fragmentation problems".
 * Linux supports THP and hugeTLBfs; only hugeTLBfs supports the
-  contiguous bit, hence Fugaku uses hugeTLBfs (modelled in
-  :mod:`repro.kernel.hugetlb`).
+  contiguous bit, hence Fugaku uses hugeTLBfs.
 
 An :class:`AddressSpace` tracks the VMAs of one process and fulfils
 faults from a buddy allocator, recording the statistics the cost model

@@ -9,9 +9,7 @@ from .ihk import (
 )
 from .ikc import IkcChannel, IkcMessage, IkcPair, IkcSpec
 from .lwk import McKernelInstance, McKernelProcess, boot_mckernel
-from .picodriver import Stag, StagTable, TofuPicoDriver, registration_cost_path
 from .proxy import DelegationRecord, OpenFile, ProxyProcess
-from .signals import Sig, SignalDelivery, SignalState
 from .syscalls import (
     DELEGATED_EXAMPLES,
     LOCAL_SYSCALLS,
@@ -33,16 +31,9 @@ __all__ = [
     "McKernelInstance",
     "McKernelProcess",
     "boot_mckernel",
-    "Stag",
-    "StagTable",
-    "TofuPicoDriver",
-    "registration_cost_path",
     "DelegationRecord",
     "OpenFile",
     "ProxyProcess",
-    "Sig",
-    "SignalDelivery",
-    "SignalState",
     "DELEGATED_EXAMPLES",
     "LOCAL_SYSCALLS",
     "UNSUPPORTED",

@@ -16,7 +16,7 @@ Two layers live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import ConfigurationError, PartitionError, SyscallError
@@ -33,14 +33,11 @@ from ..kernel.pagetable import (
     VmaKind,
     X86_4K,
 )
-from ..kernel.scheduler import CooperativeScheduler
 from ..kernel.tasks import SystemTask, task_by_name
 from ..kernel.tuning import LinuxTuning, fugaku_production
 from ..obs.tracer import get_tracer
 from .ihk import Ihk, LwkPartition, OsState, reserve_fugaku_style
-from .picodriver import TofuPicoDriver
 from .proxy import ProxyProcess
-from .signals import Sig, SignalState
 from .syscalls import is_local
 
 
@@ -66,15 +63,11 @@ class McKernelInstance(OsInstance):
         self.host_tuning = host_tuning or fugaku_production()
         self.costs = costs
         self.picodriver_enabled = picodriver
-        self.picodriver = TofuPicoDriver(costs) if picodriver else None
         # McKernel always flushes locally on the LWK cores; what matters
         # for cross-core noise is the *host's* mode, checked below.
         self.tlb = TlbModel(node.tlb, TlbFlushMode.LOCAL_ONLY)
         self._buddies: dict[float, BuddyAllocator] = {}
         self._next_pid = 1000
-        self.schedulers = {
-            cpu: CooperativeScheduler(cpu) for cpu in sorted(partition.cpus)
-        }
 
     # -- OsInstance: CPU layout ---------------------------------------------
 
@@ -165,7 +158,6 @@ class McKernelProcess:
     local_calls: int = 0
     delegated_calls: int = 0
     alive: bool = True
-    signals: SignalState = field(default_factory=SignalState)
 
     # -- syscall dispatch -----------------------------------------------------
 
@@ -226,27 +218,6 @@ class McKernelProcess:
                                    lwk_pid=child_pid),
             )
             return child
-        # POSIX signals are served locally (§5) — no IKC round trip.
-        if name == "rt_sigaction":
-            sig, handler = args
-            self.signals.sigaction(Sig(sig), handler)
-            return 0
-        if name == "rt_sigprocmask":
-            how, sigs = args
-            sig_set = {Sig(s) for s in sigs}
-            if how == "block":
-                self.signals.block(sig_set)
-            elif how == "unblock":
-                self.signals.unblock(sig_set)
-            else:
-                raise SyscallError("EINVAL", f"sigprocmask how={how!r}")
-            return 0
-        if name == "kill":
-            (sig,) = args
-            self.signals.send(Sig(sig))
-            if not self.signals.alive and self.alive:
-                self.exit()
-            return 0
         # Remaining local syscalls are modelled as successful no-ops:
         # their semantics are not needed by the experiments, only their
         # (already charged) latency.

@@ -22,9 +22,9 @@ to the whole simulated system:
   fold of journal + spools behind ``repro service top`` / ``report``.
 
 Instrumentation hooks live in the instrumented modules themselves
-(ftrace, CFS scheduler, IKC, proxy, LWK syscalls, batch scheduler,
-fault injector, perf executor); they all consult :func:`get_tracer`
-and do nothing when no tracer is installed.
+(ftrace, IKC, proxy, LWK syscalls, batch scheduler, fault injector,
+perf executor); they all consult :func:`get_tracer` and do nothing
+when no tracer is installed.
 """
 
 from .export import (

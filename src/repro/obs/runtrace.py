@@ -59,8 +59,7 @@ def capture_node_slice(seed: int = 0) -> None:
     from ..kernel.tuning import fugaku_production, untuned
     from ..mckernel.ikc import IkcChannel, IkcSpec
     from ..mckernel.lwk import boot_mckernel
-    from ..runtime.batchsched import BatchJob, BatchScheduler
-    from ..runtime.job import OsChoice
+    from ..runtime.batchsched import BatchJob, BatchScheduler, OsChoice
     from ..runtime.runner import compare
     from ..sim.engine import Engine
     from .tracer import get_tracer

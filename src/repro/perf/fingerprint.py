@@ -124,7 +124,7 @@ def spec_key(spec) -> str:
 def os_signature(os_instance: "OsInstance") -> dict:
     """The cache-relevant identity of a booted OS personality.
 
-    OS instances are stateful composites (allocator pools, schedulers),
+    OS instances are stateful composites (allocator pools, cgroups),
     so instead of hashing the whole object graph the signature extracts
     exactly what :meth:`AppRunner.run` consumes: kind, node design,
     cost model, tuning, and the McKernel feature switches.

@@ -3,8 +3,8 @@
 Before this module existed, ``LinuxKernel(...)`` / ``boot_mckernel(...)``
 construction was scattered over ~10 call sites with visible drift (some
 passed ``interconnect=``, others silently dropped it).  Every substrate
-now composes here: the CLI, the batch system, the experiment modules
-and :func:`repro.platform.build` all call the same three functions.
+now composes here: the CLI, the experiment modules and
+:func:`repro.platform.build` all call the same three functions.
 """
 
 from __future__ import annotations

@@ -1,12 +1,6 @@
 """Runtime layer: batch jobs and the experiment runner."""
 
-from .job import (
-    BatchSystem,
-    ContainerSpec,
-    Job,
-    OsChoice,
-    ProvisionedJob,
-)
+from .batchsched import OsChoice
 from .linuxsim import NodeSimResult, SimCore, simulate_linux_node_fwq
 from .nodesim import (
     BspSimResult,
@@ -24,11 +18,7 @@ __all__ = [
     "NoisyCore",
     "simulate_bsp",
     "validate_against_sampler",
-    "BatchSystem",
-    "ContainerSpec",
-    "Job",
     "OsChoice",
-    "ProvisionedJob",
     "AppRunner",
     "Breakdown",
     "Comparison",

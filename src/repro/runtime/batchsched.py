@@ -47,7 +47,14 @@ from ..faults.tolerance import CheckpointPolicy, RetryPolicy
 from ..obs.metrics import get_metrics
 from ..obs.tracer import get_tracer
 from ..sim.engine import Engine, Event
-from .job import OsChoice
+
+
+class OsChoice(enum.Enum):
+    """Which kernel personality a job requests."""
+
+    LINUX = "linux"
+    MCKERNEL = "mckernel"
+
 
 #: Per-job LWK boot/teardown in the batch prologue/epilogue, seconds.
 MCKERNEL_PROLOGUE = 45.0

@@ -177,13 +177,25 @@ def _retired_hits(rule_id, broken, tmp_path, monkeypatch):
 _FIXTURE_RULES = ("CC001", "CC002", "CC003", "CC005", "CC007", "CC008",
                   "CC009")
 
+#: Test ids named after the property each retired rule's check guards.
+_FIXTURE_IDS = {
+    "CC002": "fsync-before-publish",
+    "CC003": "every-write-site-catalogued",
+    "CC005": "torn-write-leaves-torn-bytes",
+    "CC008": "no-descriptor-leak",
+}
 
-@pytest.mark.parametrize("rule_id", _FIXTURE_RULES)
+
+def _fixture_id(rule_id):
+    return _FIXTURE_IDS.get(rule_id, rule_id)
+
+
+@pytest.mark.parametrize("rule_id", _FIXTURE_RULES, ids=_fixture_id)
 def test_rule_fires_on_positive_fixture(rule_id, tmp_path, monkeypatch):
     assert _retired_hits(rule_id, True, tmp_path, monkeypatch)
 
 
-@pytest.mark.parametrize("rule_id", _FIXTURE_RULES)
+@pytest.mark.parametrize("rule_id", _FIXTURE_RULES, ids=_fixture_id)
 def test_rule_quiet_on_negative_fixture(rule_id, tmp_path, monkeypatch):
     assert _retired_hits(rule_id, False, tmp_path, monkeypatch) == []
 

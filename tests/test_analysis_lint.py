@@ -107,6 +107,24 @@ def test_baseline_rejects_duplicates_and_unknown_rules(tmp_path):
         Baseline.load(bad)
 
 
+def test_prune_keeps_non_ascii_comment_bytes(tmp_path):
+    target = tmp_path / "clean.py"
+    target.write_text("VALUE = 1\n")
+    comment = "Intentional hits \u2014 see docs/ANALYSIS.md"
+    bl = tmp_path / "baseline.json"
+    bl.write_text(json.dumps({
+        "comment": comment,
+        "entries": [{"rule": "DET001", "path": "gone.py", "scope": "f",
+                     "snippet": "time.time()",
+                     "justification": "code was deleted"}]},
+        ensure_ascii=False), encoding="utf-8")
+    assert run_lint([str(target)], baseline_path=str(bl),
+                    prune_baseline=True, out=io.StringIO()) == 1
+    raw = bl.read_bytes()
+    assert json.dumps(comment, ensure_ascii=False).encode("utf-8") in raw
+    assert b"\\u2014" not in raw
+
+
 # -- the merged tree is the ultimate fixture ---------------------------
 
 

@@ -6,8 +6,9 @@ import pytest
 from repro.apps import ALL_PROFILES
 from repro.apps.fwq import FwqConfig, run_fwq_on
 from repro.hardware.machines import a64fx_testbed, fugaku
-from repro.runtime.batchsched import BatchJob, BatchScheduler
-from repro.runtime.job import BatchSystem, Job, OsChoice
+from repro.kernel.tuning import fugaku_production
+from repro.platform.compose import compose_os
+from repro.runtime.batchsched import BatchJob, BatchScheduler, OsChoice
 from repro.runtime.runner import AppRunner
 from repro.sim.engine import Engine
 from repro.units import mib
@@ -21,7 +22,6 @@ def test_operational_day_on_the_testbed():
     machine = a64fx_testbed()
     engine = Engine()
     sched = BatchScheduler(engine, total_nodes=machine.n_nodes)
-    batch = BatchSystem(machine)
 
     jobs = [
         BatchJob("fwq-linux", 8, runtime=360, estimate=400),
@@ -46,14 +46,14 @@ def test_operational_day_on_the_testbed():
 
     # Provision the OSes the jobs requested and sanity-check them.
     rng = np.random.default_rng(0)
+    tuning = fugaku_production()
     for j in (jobs[0], jobs[1]):
-        prov = batch.provision(Job(j.name, j.n_nodes,
-                                   j.os_choice))
-        fwq = run_fwq_on(prov.os_instance, FwqConfig(duration=30.0), rng)
+        os_instance = compose_os(machine, j.os_choice.value, tuning)
+        fwq = run_fwq_on(os_instance, FwqConfig(duration=30.0), rng)
         assert fwq.noise_rate < 1e-4
     # The McKernel FWQ is at least as clean as Linux's.
-    lin = batch.provision(Job("l", 1, OsChoice.LINUX)).os_instance
-    mck = batch.provision(Job("m", 1, OsChoice.MCKERNEL)).os_instance
+    lin = compose_os(machine, OsChoice.LINUX.value, tuning)
+    mck = compose_os(machine, OsChoice.MCKERNEL.value, tuning)
     lin_fwq = run_fwq_on(lin, FwqConfig(duration=60.0),
                          np.random.default_rng(1))
     mck_fwq = run_fwq_on(mck, FwqConfig(duration=60.0),
@@ -63,7 +63,7 @@ def test_operational_day_on_the_testbed():
 
 def test_lwk_process_full_lifecycle(fugaku_mckernel):
     """One McKernel process exercising every §5 facility in order:
-    memory, delegation, signals, fork, exit."""
+    memory, delegation, fork, exit."""
     p = fugaku_mckernel.spawn(memory_scale=0.002)
     # 1. LWK-local memory management.
     vma = p.syscall("mmap", mib(8))
@@ -72,18 +72,11 @@ def test_lwk_process_full_lifecycle(fugaku_mckernel):
     fd = p.syscall("open", "/data/config")
     p.syscall("write", fd, 4096)
     p.syscall("close", fd)
-    # 3. Signals, locally.
-    from repro.mckernel.signals import Sig
-
-    got = []
-    p.syscall("rt_sigaction", int(Sig.SIGUSR1), got.append)
-    p.syscall("kill", int(Sig.SIGUSR1))
-    assert got == [Sig.SIGUSR1]
-    # 4. fork + COW.
+    # 3. fork + COW.
     child = p.syscall("fork")
     child.address_space.cow_write(child.address_space.vmas[vma.start])
     assert child.address_space.stats.cow_faults == 4  # 8 MiB / 2 MiB
-    # 5. Teardown, child first.
+    # 4. Teardown, child first.
     child.exit()
     invalidated = p.exit()
     assert invalidated >= 128  # 8 MiB of 64 KiB PTEs

@@ -52,13 +52,6 @@ def test_export_all_rejects_unknown(tmp_path):
         export_all(tmp_path, ids=["fig99"])
 
 
-def test_json_handles_numpy_types(tmp_path):
-    # fig4's data carries numpy-derived floats/lists.
-    result = run_experiment("fig4")
-    path = export_json(result, tmp_path)
-    json.loads(path.read_text())  # must not raise
-
-
 def test_table_style_scalar_nodes_write_no_csv(tmp_path):
     # table1's per-machine dicts carry a *scalar* "nodes" (the machine
     # node count) — regression: export must not mistake it for a

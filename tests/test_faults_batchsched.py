@@ -5,8 +5,12 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.faults import FaultSpec, RetryPolicy, CheckpointPolicy
-from repro.runtime.batchsched import BatchJob, BatchScheduler, JobState
-from repro.runtime.job import OsChoice
+from repro.runtime.batchsched import (
+    BatchJob,
+    BatchScheduler,
+    JobState,
+    OsChoice,
+)
 from repro.sim.engine import Engine
 
 #: Aggressive enough that a multi-hour job on many nodes always dies.

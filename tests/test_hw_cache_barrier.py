@@ -1,15 +1,9 @@
-"""Sector cache and hardware barrier models."""
+"""Sector cache model."""
 
 import pytest
 
-from repro.errors import ConfigurationError, ResourceError
+from repro.errors import ConfigurationError
 from repro.hardware.cache import A64FX_L2, CacheSpec, SectorCache
-from repro.hardware.hwbarrier import (
-    A64FX_BARRIER,
-    KNL_BARRIER,
-    BarrierSpec,
-    HardwareBarrierAllocator,
-)
 
 
 # --- sector cache -----------------------------------------------------
@@ -54,52 +48,3 @@ def test_cache_spec_validation():
         CacheSpec(size_bytes=1000, ways=3)  # not divisible
     with pytest.raises(ConfigurationError):
         CacheSpec(size_bytes=0, ways=1)
-
-
-# --- hardware barrier -----------------------------------------------------
-
-def test_hw_barrier_faster_than_software():
-    spec = A64FX_BARRIER
-    assert spec.hw_latency < spec.sw_latency(12)
-
-
-def test_sw_latency_log_scaling():
-    spec = A64FX_BARRIER
-    assert spec.sw_latency(1) == 0.0
-    assert spec.sw_latency(2) == pytest.approx(spec.sw_hop_latency)
-    assert spec.sw_latency(48) == pytest.approx(6 * spec.sw_hop_latency)
-
-
-def test_knl_has_no_hw_barrier_windows():
-    assert KNL_BARRIER.windows == 0
-    alloc = HardwareBarrierAllocator(KNL_BARRIER)
-    with pytest.raises(ResourceError):
-        alloc.allocate(4)
-
-
-def test_allocator_lifecycle():
-    alloc = HardwareBarrierAllocator(A64FX_BARRIER)
-    wids = [alloc.allocate(12) for _ in range(A64FX_BARRIER.windows)]
-    assert alloc.available == 0
-    with pytest.raises(ResourceError):
-        alloc.allocate(12)
-    alloc.release(wids[0])
-    assert alloc.available == 1
-    with pytest.raises(ResourceError):
-        alloc.release(wids[0])  # double release
-
-
-def test_sync_latency_hw_vs_fallback():
-    alloc = HardwareBarrierAllocator(A64FX_BARRIER)
-    wid = alloc.allocate(12)
-    assert alloc.sync_latency(wid, 12) == A64FX_BARRIER.hw_latency
-    assert alloc.sync_latency(None, 12) == A64FX_BARRIER.sw_latency(12)
-    with pytest.raises(ResourceError):
-        alloc.sync_latency(999, 12)
-
-
-def test_barrier_spec_validation():
-    with pytest.raises(ConfigurationError):
-        BarrierSpec(hw_latency=0.0)
-    with pytest.raises(ConfigurationError):
-        A64FX_BARRIER.sw_latency(0)

@@ -107,23 +107,15 @@ def test_populate_cost_scales_with_fault_count():
     assert LINUX_COSTS.populate_cost(0, 4096, PageKind.BASE) == 0.0
 
 
-def test_registration_fast_path_skips_trap():
-    slow = MCKERNEL_COSTS.registration_cost(mib(1), delegated=True)
-    fast = MCKERNEL_COSTS.registration_cost(mib(1), delegated=True,
-                                            fast_path=True)
-    assert fast < slow
-    assert fast == pytest.approx(MCKERNEL_COSTS.reg_per_mib)
-
-
 def test_cost_model_validation():
     with pytest.raises(ConfigurationError):
         CostModel(name="bad", syscall=-1, delegation_overhead=0,
                   fault_fixed=0, fault_huge_extra=0, zero_bandwidth=1,
-                  context_switch=0, ioctl_extra=0, reg_per_mib=0)
+                  context_switch=0, ioctl_extra=0)
     with pytest.raises(ConfigurationError):
         CostModel(name="bad", syscall=0, delegation_overhead=0,
                   fault_fixed=0, fault_huge_extra=0, zero_bandwidth=0,
-                  context_switch=0, ioctl_extra=0, reg_per_mib=0)
+                  context_switch=0, ioctl_extra=0)
     with pytest.raises(ConfigurationError):
         LINUX_COSTS.page_fault_cost(0, PageKind.BASE)
     with pytest.raises(ConfigurationError):

@@ -126,15 +126,6 @@ def test_address_space_uses_app_memory(fugaku_linux):
     assert vma.populated_bytes == 2 * 1024 * 1024
 
 
-def test_hugetlb_pool_requires_policy(fugaku_machine, fugaku_linux):
-    pool = fugaku_linux.hugetlb_pool(memory_scale=0.001)
-    assert pool.stats.pool_size == 0  # Fugaku: no boot reservation
-    assert pool.overcommit_limit is None  # unlimited overcommit
-    thp = LinuxKernel(fugaku_machine.node, untuned())
-    with pytest.raises(ConfigurationError):
-        thp.hugetlb_pool()
-
-
 def test_linux_serves_all_syscalls_locally(fugaku_linux):
     assert not fugaku_linux.syscall_delegated("open")
     assert not fugaku_linux.syscall_delegated("mmap")

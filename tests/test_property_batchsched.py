@@ -11,8 +11,12 @@ Invariants for any random job mix:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runtime.batchsched import BatchJob, BatchScheduler, JobState
-from repro.runtime.job import OsChoice
+from repro.runtime.batchsched import (
+    BatchJob,
+    BatchScheduler,
+    JobState,
+    OsChoice,
+)
 from repro.sim.engine import Engine
 
 TOTAL_NODES = 16

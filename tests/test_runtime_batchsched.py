@@ -9,8 +9,8 @@ from repro.runtime.batchsched import (
     BatchJob,
     BatchScheduler,
     JobState,
+    OsChoice,
 )
-from repro.runtime.job import OsChoice
 from repro.sim.engine import Engine
 
 
