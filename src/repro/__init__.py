@@ -22,21 +22,9 @@ See examples/quickstart.py for a guided tour.
 
 from __future__ import annotations
 
-from . import (
-    apps,
-    experiments,
-    faults,
-    hardware,
-    kernel,
-    mckernel,
-    net,
-    noise,
-    perf,
-    platform,
-    runtime,
-    sim,
-)
-from .engine import ExecutionEngine
+import importlib
+import sys
+
 from .errors import (
     CacheCorruptionError,
     CgroupLimitExceeded,
@@ -59,6 +47,45 @@ from .errors import (
 )
 
 __version__ = "1.0.0"
+
+
+def _lazy_exports(package: str, exports: "dict[str, str]"):
+    """PEP 562 ``__getattr__`` and ``__dir__`` for ``package``.
+
+    ``exports`` maps each re-exported name to the module, relative to
+    ``package``, that defines it; a name equal to its module's last
+    component is that module itself (a subpackage).  A name is imported
+    on first access and then bound in the package like any global, so
+    an entry point loads only the modules it touches.
+    """
+    namespace = sys.modules[package].__dict__
+
+    def __getattr__(name: str):
+        try:
+            module = exports[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}") from None
+        value = importlib.import_module(module, package)
+        if module.rpartition(".")[2] != name:
+            value = getattr(value, name)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> "list[str]":
+        return sorted(set(namespace) | set(exports))
+
+    return __getattr__, __dir__
+
+
+#: Loaded on first access, so ``repro --help`` loads neither numpy nor
+#: the model.
+_SUBPACKAGES = ("apps", "experiments", "faults", "hardware", "kernel",
+                "mckernel", "net", "noise", "perf", "platform", "runtime",
+                "sim")
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    **{name: f".{name}" for name in _SUBPACKAGES},
+    "ExecutionEngine": ".engine"})
 
 
 def quick_compare(app: str, platform: str = "fugaku", nodes: int = 1024,
@@ -86,18 +113,7 @@ def quick_compare(app: str, platform: str = "fugaku", nodes: int = 1024,
 
 
 __all__ = [
-    "apps",
-    "experiments",
-    "faults",
-    "hardware",
-    "kernel",
-    "mckernel",
-    "net",
-    "noise",
-    "perf",
-    "platform",
-    "runtime",
-    "sim",
+    *_SUBPACKAGES,
     "quick_compare",
     "ExecutionEngine",
     "ReproError",

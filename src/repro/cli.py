@@ -55,8 +55,6 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 
 def _auto_jobs() -> int:
     """One worker per CPU actually available to this process."""
@@ -271,6 +269,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_fwq(args: argparse.Namespace) -> int:
+    import numpy as np
+
     from .apps.fwq import FwqConfig, run_fwq
     from .platform import NoiseSwitches, PlatformSpec, build
     from .units import to_us

@@ -34,15 +34,13 @@ class CostModel:
     fault_huge_extra: float
     #: Memory zeroing bandwidth for newly-faulted pages, bytes/s.
     zero_bandwidth: float
-    #: Process context switch (relevant to oversubscribed runs).
-    context_switch: float
     #: ioctl into a device driver (on top of ``syscall``).
     ioctl_extra: float
 
     def __post_init__(self) -> None:
         for field_name in (
             "syscall", "delegation_overhead", "fault_fixed",
-            "fault_huge_extra", "context_switch", "ioctl_extra",
+            "fault_huge_extra", "ioctl_extra",
         ):
             if getattr(self, field_name) < 0:
                 raise ConfigurationError(f"{field_name} must be non-negative")
@@ -82,7 +80,6 @@ LINUX_COSTS = CostModel(
     fault_fixed=us(1.1),
     fault_huge_extra=us(1.8),
     zero_bandwidth=12e9,
-    context_switch=us(1.8),
     ioctl_extra=us(1.2),
 )
 
@@ -97,6 +94,5 @@ MCKERNEL_COSTS = CostModel(
     fault_fixed=ns(550.0),
     fault_huge_extra=ns(700.0),
     zero_bandwidth=12e9,
-    context_switch=us(0.9),
     ioctl_extra=us(1.2),
 )

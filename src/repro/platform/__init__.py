@@ -31,52 +31,23 @@ or purely from JSON::
 
 from __future__ import annotations
 
-from ..faults.spec import FaultSpec
-from .compose import compose_os, noise_sources, resolve_fabric
-from .registry import (
-    get_platform,
-    platform_names,
-    register_platform,
-)
-from .resolve import (
-    ResolvedPlatform,
-    build,
-    clear_build_cache,
-    compare_platforms,
-    run_cells,
-    sweep_platform_apps,
-)
-from .spec import (
-    MACHINES,
-    OS_KINDS,
-    TUNINGS,
-    McKernelSwitches,
-    NoiseSwitches,
-    PlatformSpec,
-    RunSpec,
-    load_spec,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "FaultSpec",
-    "MACHINES",
-    "McKernelSwitches",
-    "NoiseSwitches",
-    "OS_KINDS",
-    "PlatformSpec",
-    "ResolvedPlatform",
-    "RunSpec",
-    "TUNINGS",
-    "build",
-    "clear_build_cache",
-    "compare_platforms",
-    "compose_os",
-    "get_platform",
-    "load_spec",
-    "noise_sources",
-    "platform_names",
-    "register_platform",
-    "resolve_fabric",
-    "run_cells",
-    "sweep_platform_apps",
-]
+#: Where each re-export lives.  A reader of :mod:`repro.platform.spec`
+#: alone (the job service) never loads ``compose``/``resolve`` and,
+#: through them, the kernel, network and noise models.
+_EXPORTS = {
+    "FaultSpec": "..faults.spec",
+    **dict.fromkeys(("compose_os", "noise_sources", "resolve_fabric"),
+                    ".compose"),
+    **dict.fromkeys(("get_platform", "platform_names", "register_platform"),
+                    ".registry"),
+    **dict.fromkeys(("ResolvedPlatform", "build", "clear_build_cache",
+                     "compare_platforms", "run_cells", "sweep_platform_apps"),
+                    ".resolve"),
+    **dict.fromkeys(("MACHINES", "OS_KINDS", "TUNINGS", "McKernelSwitches",
+                     "NoiseSwitches", "PlatformSpec", "RunSpec", "load_spec"),
+                    ".spec"),
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
+__all__ = sorted(_EXPORTS)

@@ -22,12 +22,30 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+
 # ndtri/ndtr are the raw ufuncs behind scipy.stats.norm.ppf/sf; calling
 # them directly skips the rv_continuous argument plumbing (argsreduce,
 # broadcasting, masking) that dominates small-array ppf calls on the
 # Monte-Carlo hot path.  For arguments already inside the open unit
 # interval the results are bit-identical to the norm frontend.
-from scipy.special import ndtr, ndtri
+# ``scipy.special`` costs a quarter of a second to import, so the two
+# stubs below rebind these module names to its ufuncs on first call:
+# a process that never samples a lognormal never loads it, and every
+# later call reaches the ufunc directly.
+def _bind_normal() -> None:
+    global ndtr, ndtri
+    from scipy.special import ndtr, ndtri
+
+
+def ndtr(x):
+    _bind_normal()
+    return ndtr(x)
+
+
+def ndtri(q):
+    _bind_normal()
+    return ndtri(q)
 
 
 class Distribution:

@@ -111,11 +111,11 @@ def test_cost_model_validation():
     with pytest.raises(ConfigurationError):
         CostModel(name="bad", syscall=-1, delegation_overhead=0,
                   fault_fixed=0, fault_huge_extra=0, zero_bandwidth=1,
-                  context_switch=0, ioctl_extra=0)
+                  ioctl_extra=0)
     with pytest.raises(ConfigurationError):
         CostModel(name="bad", syscall=0, delegation_overhead=0,
                   fault_fixed=0, fault_huge_extra=0, zero_bandwidth=0,
-                  context_switch=0, ioctl_extra=0)
+                  ioctl_extra=0)
     with pytest.raises(ConfigurationError):
         LINUX_COSTS.page_fault_cost(0, PageKind.BASE)
     with pytest.raises(ConfigurationError):

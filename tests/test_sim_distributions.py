@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.sim import distributions
 from repro.sim.distributions import (
     Fixed,
     LogNormalCapped,
@@ -66,6 +67,18 @@ def test_quantile_survival_roundtrip(dist):
         assert float(dist.survival(x)) <= (1 - q) + 1e-9
         if x > 0 and not isinstance(dist, Fixed):
             assert float(dist.survival(x * (1 - 1e-9))) >= (1 - q) - 1e-6
+
+
+def test_lognormal_binds_the_scipy_ufuncs_on_first_use():
+    from scipy.special import ndtr, ndtri
+
+    dist = LogNormalCapped(median=2.2e-3, sigma=1.1, cap=2e-2)
+    q = np.array([0.01, 0.3, 0.7, 0.99])
+    first = dist.quantile(q)
+    assert distributions.ndtr is ndtr and distributions.ndtri is ndtri
+    assert np.array_equal(first, dist.quantile(q))
+    assert np.array_equal(first, np.minimum(2.2e-3 * np.exp(1.1 * ndtri(q)),
+                                            2e-2))
 
 
 def test_sample_max_matches_direct_max(rng):
