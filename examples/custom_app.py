@@ -16,15 +16,13 @@ answers the questions the paper teaches you to ask about it:
 Run:  python examples/custom_app.py
 """
 
-import numpy as np
-
 from repro.apps import RankGeometry, WorkloadProfile
 from repro.apps.base import InitPhase
 from repro.hardware import fugaku, oakforest_pacs
 from repro.kernel import LinuxKernel, fugaku_production, ofp_default
 from repro.mckernel import boot_mckernel
 from repro.noise import NoiseGroup, eq1_delay
-from repro.runtime import compare
+from repro.runtime import AppRunner, Comparison
 from repro.units import mib, us
 
 
@@ -54,6 +52,17 @@ def graph_analytics_profile() -> WorkloadProfile:
     )
 
 
+def compare(machine, tuning, profile, node_counts):
+    """Linux vs McKernel at each node count, on the same seed stream
+    (the paper ran each pair on the exact same compute nodes)."""
+    linux = LinuxKernel(machine.node, tuning,
+                        interconnect=machine.interconnect)
+    mck = boot_mckernel(machine.node, host_tuning=tuning)
+    runner = AppRunner(machine, profile, seed=0)
+    return [Comparison(n, runner.run(linux, n), runner.run(mck, n))
+            for n in node_counts]
+
+
 def main() -> None:
     profile = graph_analytics_profile()
 
@@ -62,20 +71,13 @@ def main() -> None:
         (oakforest_pacs(), ofp_default(), [64, 1024, 8192]),
         (fugaku(), fugaku_production(), [64, 1024, 8192]),
     ):
-        linux = LinuxKernel(machine.node, tuning,
-                            interconnect=machine.interconnect)
-        mck = boot_mckernel(machine.node, host_tuning=tuning)
-        comps = compare(machine, profile, linux, mck, counts, seed=0)
+        comps = compare(machine, tuning, profile, counts)
         row = "   ".join(
             f"{c.n_nodes}: {c.speedup_percent:+5.1f}%" for c in comps)
         print(f"   {machine.name:<15} {row}")
 
     print("\n2. Where does the Linux time go? (OFP, 8,192 nodes)")
-    machine, tuning = oakforest_pacs(), ofp_default()
-    linux = LinuxKernel(machine.node, tuning,
-                        interconnect=machine.interconnect)
-    mck = boot_mckernel(machine.node, host_tuning=tuning)
-    comp = compare(machine, profile, linux, mck, [8192], seed=0)[0]
+    comp = compare(oakforest_pacs(), ofp_default(), profile, [8192])[0]
     b = comp.linux.breakdown
     total = b.total
     for name in ("compute", "tlb", "churn", "collective", "noise", "init"):

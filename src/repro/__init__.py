@@ -31,7 +31,6 @@ from .errors import (
     ClaimConflict,
     ConfigurationError,
     FaultError,
-    IkcTimeoutError,
     JobNotFoundError,
     JobRetriesExhausted,
     JournalCorruptionError,
@@ -127,7 +126,6 @@ __all__ = [
     "FaultError",
     "NodeFailure",
     "ProxyCrashed",
-    "IkcTimeoutError",
     "JobRetriesExhausted",
     "CacheCorruptionError",
     "ServiceError",

@@ -327,7 +327,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     jobs = _auto_jobs() if args.jobs == 0 else args.jobs
     traced = trace_experiment(args.id, fast=not args.full, seed=args.seed,
-                              jobs=jobs, node_slice=not args.no_node_slice)
+                              jobs=jobs)
     path = traced.write(args.out)
     counts = traced.tracer.layer_counts()
     print(f"{args.id}: {len(traced.tracer)} events -> {path}")
@@ -670,10 +670,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr_run.add_argument("--jobs", type=int, default=1, metavar="N",
                           help="worker processes (0 = one per CPU); the "
                                "trace bytes are identical for any value")
-    p_tr_run.add_argument("--no-node-slice", action="store_true",
-                          help="skip the synthetic cross-layer node "
-                               "slice; trace only what the experiment "
-                               "itself exercises")
     p_tr_run.add_argument("--summary", action="store_true",
                           help="print the noise-attribution ranking")
     p_tr_run.add_argument("--top", type=int, default=10, metavar="N",

@@ -78,12 +78,8 @@ class ProxyCrashed(FaultError):
     """The Linux-side proxy process of a McKernel job crashed.
 
     The LWK process loses every delegated-state item the proxy held
-    (fd table, file positions); recovery requires a proxy respawn.
+    (fd table, file positions); the batch scheduler retries the job.
     """
-
-
-class IkcTimeoutError(FaultError):
-    """An IKC message was dropped and re-delivery attempts timed out."""
 
 
 class JobRetriesExhausted(FaultError):

@@ -219,13 +219,3 @@ class FaultInjector:
                     os_kind: str = "linux") -> Optional[FaultEvent]:
         """Convenience: earliest fatal event for one job attempt."""
         return self.schedule(n_nodes, window, stream).first_fatal(os_kind)
-
-    # -- component wiring ---------------------------------------------
-
-    def ikc_channel_rng(self, stream: str) -> Optional[np.random.Generator]:
-        """Drop-decision stream for one IKC channel, or None when IKC
-        faults are disabled (the channel then takes the zero-cost
-        fault-free path)."""
-        if self.spec.ikc_drop_prob <= 0:
-            return None
-        return self.rng(f"ikc/{stream}")

@@ -70,6 +70,8 @@ class FaultSpec:
     #: Walltime added per daemon stall, seconds.
     daemon_stall_seconds: float = 30.0
     #: Probability an IKC message is dropped in flight (per delivery).
+    #: No model component reads the three ``ikc_*`` fields; they stay
+    #: because the ``faults`` artefact exports every field.
     ikc_drop_prob: float = 0.0
     #: Re-delivery wait after a detected IKC drop, seconds.
     ikc_timeout: float = 5e-5

@@ -7,7 +7,7 @@ from .ihk import (
     OsState,
     reserve_fugaku_style,
 )
-from .ikc import IkcChannel, IkcMessage, IkcPair, IkcSpec
+from .ikc import IkcSpec
 from .lwk import McKernelInstance, McKernelProcess, boot_mckernel
 from .proxy import DelegationRecord, OpenFile, ProxyProcess
 from .syscalls import (
@@ -24,9 +24,6 @@ __all__ = [
     "MemoryReservation",
     "OsState",
     "reserve_fugaku_style",
-    "IkcChannel",
-    "IkcMessage",
-    "IkcPair",
     "IkcSpec",
     "McKernelInstance",
     "McKernelProcess",

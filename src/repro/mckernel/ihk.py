@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from ..errors import ConfigurationError, PartitionError, ResourceError
 from ..hardware.machines import NodeSpec
 from ..hardware.numa import NumaRole
-from .ikc import IkcPair, IkcSpec
+from .ikc import IkcSpec
 
 
 class OsState(enum.Enum):
@@ -47,7 +47,7 @@ class LwkPartition:
     cpus: frozenset[int] = field(default_factory=frozenset)
     memory: list[MemoryReservation] = field(default_factory=list)
     state: OsState = OsState.CREATED
-    ikc: IkcPair = field(default_factory=IkcPair)
+    ikc: IkcSpec = field(default_factory=IkcSpec)
 
     def total_memory(self) -> int:
         return sum(m.size_bytes for m in self.memory)
@@ -56,9 +56,8 @@ class LwkPartition:
 class Ihk:
     """IHK resource manager for one node."""
 
-    def __init__(self, node: NodeSpec, ikc_spec: IkcSpec | None = None) -> None:
+    def __init__(self, node: NodeSpec) -> None:
         self.node = node
-        self.ikc_spec = ikc_spec or IkcSpec()
         self._reserved_cpus: set[int] = set()
         self._reserved_mem: dict[int, int] = {}  # numa node -> bytes reserved
         self._partitions: dict[int, LwkPartition] = {}
@@ -124,8 +123,7 @@ class Ihk:
     # -- OS lifecycle (ihkosctl) -------------------------------------------
 
     def create_os(self) -> LwkPartition:
-        part = LwkPartition(os_index=self._next_os,
-                            ikc=IkcPair(self.ikc_spec))
+        part = LwkPartition(os_index=self._next_os)
         self._partitions[self._next_os] = part
         self._next_os += 1
         return part

@@ -12,13 +12,9 @@ and file-position map; :class:`repro.mckernel.lwk.McKernelProcess`
 routes delegated calls through it and the returned values are the ones
 the LWK hands to the application.
 
-The proxy is also McKernel's production Achilles heel (§6): if it is
-killed — OOM killer, node health daemon, plain crash — the LWK process
-survives but every piece of Linux-side state dies with the proxy.
-:meth:`ProxyProcess.crash` models that, delegated calls then raise
-:class:`~repro.errors.ProxyCrashed`, and :meth:`ProxyProcess.respawn`
-models the recovery path: a fresh proxy with a *clean* fd table (open
-files, positions — all lost) that the application must re-establish.
+The proxy's production fragility (§6: a killed proxy takes every piece
+of Linux-side state with it) is priced at job level, by the batch
+scheduler's :class:`~repro.errors.ProxyCrashed` faults.
 """
 
 from __future__ import annotations
@@ -26,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..errors import ProxyCrashed, SyscallError
+from ..errors import SyscallError
 from ..obs.tracer import get_tracer
 
 
@@ -65,9 +61,6 @@ class ProxyProcess:
         self._next_fd = self._STD_FDS
         self.delegations: list[DelegationRecord] = []
         self.alive = True
-        self.crashed = False
-        #: Times this proxy has been respawned after a crash.
-        self.respawns = 0
 
     # -- delegated syscall services ----------------------------------------
 
@@ -81,10 +74,6 @@ class ProxyProcess:
                     actor=f"proxy/{self.pid}", lwk_pid=self.lwk_pid)
 
     def _ensure_alive(self) -> None:
-        if self.crashed:
-            raise ProxyCrashed(
-                f"proxy {self.pid} (lwk pid {self.lwk_pid}) crashed; "
-                "delegated state lost — respawn required")
         if not self.alive:
             raise SyscallError("ESRCH", f"proxy {self.pid} exited")
 
@@ -159,42 +148,6 @@ class ProxyProcess:
         """Proxy teardown when the McKernel process exits."""
         self.alive = False
         self.fd_table.clear()
-
-    def crash(self) -> None:
-        """Kill the proxy mid-flight (fault injection): the fd table
-        and every file position die with it; subsequent delegated
-        calls raise :class:`~repro.errors.ProxyCrashed` until
-        :meth:`respawn`."""
-        self.alive = False
-        self.crashed = True
-        lost = len(self.fd_table)
-        self.fd_table.clear()
-        t = get_tracer()
-        if t is not None:
-            t.event("proxy", "crash", ts=t.advance("proxy"),
-                    actor=f"proxy/{self.pid}", fds_lost=lost)
-
-    def respawn(self) -> None:
-        """Recovery: a fresh proxy context for the same LWK process.
-
-        Only the standard streams come back — application fds, file
-        positions and sizes are gone (the LWK-side numbers now dangle),
-        exactly the state loss that makes proxy crashes expensive in
-        production.  The delegation audit log is preserved.
-        """
-        self.fd_table = {
-            0: OpenFile("/dev/stdin", "r"),
-            1: OpenFile("/dev/stdout", "w"),
-            2: OpenFile("/dev/stderr", "w"),
-        }
-        self._next_fd = self._STD_FDS
-        self.alive = True
-        self.crashed = False
-        self.respawns += 1
-        t = get_tracer()
-        if t is not None:
-            t.event("proxy", "respawn", ts=t.advance("proxy"),
-                    actor=f"proxy/{self.pid}", respawns=self.respawns)
 
     @property
     def open_fd_count(self) -> int:

@@ -22,8 +22,8 @@ to the whole simulated system:
   fold of journal + spools behind ``repro service top`` / ``report``.
 
 Instrumentation hooks live in the instrumented modules themselves
-(ftrace, IKC, proxy, LWK syscalls, batch scheduler, fault injector,
-perf executor); they all consult :func:`get_tracer` and do nothing
+(ftrace, proxy, LWK syscalls, batch scheduler, fault injector, perf
+executor, job service); they all consult :func:`get_tracer` and do nothing
 when no tracer is installed.
 """
 
@@ -58,7 +58,6 @@ _LAZY = {
     "NoiseAttribution": "attribution",
     "TelemetrySpool": "spool",
     "TracedRun": "runtrace",
-    "capture_node_slice": "runtrace",
     "load_slo": "fleet",
     "read_spool": "spool",
     "spool_dir": "spool",
@@ -89,7 +88,6 @@ __all__ = [
     "TraceSpan",
     "TracedRun",
     "Tracer",
-    "capture_node_slice",
     "chrome_trace",
     "chrome_trace_json",
     "ensure_valid_chrome_trace",

@@ -3,7 +3,7 @@
 The paper's tuning loop ranked interference *actors* by the time they
 stole from application cores, using ftrace on one kernel.  With the
 unified tracer the same workflow spans every layer: kernel daemons,
-IKC redeliveries, proxy crashes, scheduler restarts, injected faults —
+delegated syscalls, scheduler restarts, injected faults —
 each event carries a layer and an actor, and
 :class:`NoiseAttribution` aggregates them into ranked
 :class:`~repro.kernel.ftrace.ActorSummary` rows per layer.

@@ -5,8 +5,8 @@ placement bug and every per-countermeasure noise reduction were found
 with "execution time profiling and ftrace".  :class:`Tracer` is that
 microscope for the *whole* simulated stack: one bounded ring buffer of
 timestamped events, partitioned into named **layers** (:data:`LAYERS`),
-fed by instrumentation hooks threaded through the hardware, kernel,
-LWK, IKC, proxy, scheduler, perf and fault modules.
+fed by instrumentation hooks threaded through the kernel, LWK, proxy,
+scheduler, perf, fault and service modules.
 
 Design constraints, in order:
 
@@ -37,6 +37,8 @@ from ..errors import ConfigurationError
 #: The instrumented layers, in fixed display order (Chrome-trace track
 #: order).  Hooks must name one of these; anything else is a
 #: configuration error so typos never silently create a new track.
+#: No model code emits ``hw`` or ``ikc``; they keep their slots so the
+#: Chrome tids of the other layers stay put.
 LAYERS = ("hw", "kernel", "lwk", "ikc", "proxy", "sched", "perf", "faults",
           "service")
 

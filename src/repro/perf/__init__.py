@@ -10,8 +10,8 @@ without perturbing a single simulated number:
   are byte-identical to serial ones;
 * :mod:`repro.perf.cache` — a content-addressed memoization cache for
   :class:`~repro.runtime.runner.RunResult`: keys are SHA-256 digests of
-  the complete run configuration (machine, profile, OS tuning,
-  n_nodes, n_runs, seed), values live in memory and optionally on disk
+  each cell's canonical :class:`~repro.platform.spec.RunSpec` JSON
+  (:func:`spec_key`), values live in memory and optionally on disk
   (``$REPRO_CACHE_DIR`` or ``~/.cache/repro-runs``);
 * :mod:`repro.obs.metrics` — wall-time / hit-rate / labeled-series
   instrumentation surfaced by ``repro experiments --stats`` and
@@ -27,7 +27,7 @@ from ..obs.metrics import MetricsRegistry
 from .cache import RunCache, default_cache_dir
 from .context import PerfContext, get_context, perf_context
 from .executor import RunCell, execute_cells
-from .fingerprint import fingerprint, run_key, spec_key
+from .fingerprint import spec_key
 
 __all__ = [
     "MetricsRegistry",
@@ -36,9 +36,7 @@ __all__ = [
     "RunCell",
     "default_cache_dir",
     "execute_cells",
-    "fingerprint",
     "get_context",
     "perf_context",
-    "run_key",
     "spec_key",
 ]

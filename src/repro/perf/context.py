@@ -3,7 +3,7 @@
 Threading ``jobs=``/``cache=`` through every experiment entry point
 would force a signature change on each of the 13 registered
 experiments.  Instead a caller installs a :class:`PerfContext` and the
-sweep layers (:func:`repro.runtime.runner.compare`,
+sweep layers (:func:`repro.platform.run_cells`,
 :func:`repro.experiments.appfigs.sweep_apps`, everything that reaches
 :func:`repro.perf.execute_cells`) read it:
 

@@ -1,10 +1,10 @@
 """Deterministic parallel sweep executor.
 
 A sweep — Figs. 5-7, ``compare``, ``run_all`` — is a list of
-independent simulation *cells* ``(machine, profile, OS, n_nodes,
-n_runs, seed)``.  Each cell derives its RNG streams from its own
-coordinates (see :meth:`AppRunner.run`), so cells can execute in any
-order, on any process, and produce bit-identical results; the executor
+independent simulation *cells*, each one :class:`RunSpec`.  Each cell
+derives its RNG streams from its own coordinates (see
+:meth:`AppRunner.run`), so cells can execute in any order, on any
+process, and produce bit-identical results; the executor
 exploits that by fanning cells out over a
 :class:`concurrent.futures.ProcessPoolExecutor` and reassembling
 results in submission order.
@@ -31,12 +31,9 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from ..obs.metrics import get_metrics
 from ..obs.tracer import get_tracer
 from .context import get_context
-from .fingerprint import run_key, spec_key
+from .fingerprint import spec_key
 
 if TYPE_CHECKING:
-    from ..apps.base import WorkloadProfile
-    from ..hardware.machines import Machine
-    from ..kernel.base import OsInstance
     from ..platform.spec import RunSpec
     from ..runtime.runner import RunResult
     from .context import PerfContext
@@ -49,13 +46,12 @@ _POOL_ERRORS = (BrokenProcessPool, OSError, pickle.PicklingError)
 
 @dataclass(frozen=True)
 class RunCell:
-    """One independent unit of sweep work.
+    """One independent unit of sweep work: one :class:`RunSpec`.
 
-    Cells built by the :mod:`repro.platform` sweep helpers carry the
-    declarative :class:`RunSpec` they came from; their cache key is
-    then the SHA-256 of the spec's canonical JSON (auditable from the
-    on-disk entry).  Raw-object cells fall back to the recursive
-    object-walk fingerprint.
+    The cache key is the SHA-256 of the spec's canonical JSON
+    (auditable from the on-disk entry).  The spec resolves to its
+    machine and OS through the memoized :func:`repro.platform.build`,
+    in whichever process runs the cell.
 
     ``target_ci`` switches the cell to variance-adaptive Monte-Carlo
     sampling (:meth:`AppRunner.run_adaptive`); it travels in the cell
@@ -67,23 +63,13 @@ class RunCell:
     faults are enabled).
     """
 
-    machine: "Machine"
-    profile: "WorkloadProfile"
-    os_instance: "OsInstance"
-    n_nodes: int
-    n_runs: int
-    seed: int
-    spec: Optional["RunSpec"] = None
+    spec: "RunSpec"
     target_ci: Optional[float] = None
     max_adaptive_runs: int = 64
 
-    def key(self, memo: dict | None = None) -> str:
+    def key(self) -> str:
         """Content address of this cell (the cache key)."""
-        if self.spec is not None:
-            base = spec_key(self.spec)
-        else:
-            base = run_key(self.machine, self.profile, self.os_instance,
-                           self.n_nodes, self.n_runs, self.seed, memo=memo)
+        base = spec_key(self.spec)
         if self.target_ci is None:
             return base
         import hashlib
@@ -109,15 +95,21 @@ def adaptive_fields() -> dict:
 
 def _execute_cell(cell: RunCell) -> "RunResult":
     """Run one cell; module-level so worker processes can unpickle it."""
+    from ..apps import ALL_PROFILES
+    from ..platform.resolve import build
     from ..runtime.runner import AppRunner
 
-    runner = AppRunner(cell.machine, cell.profile, seed=cell.seed)
+    spec = cell.spec
+    resolved = build(spec.platform)
+    runner = AppRunner(resolved.machine, ALL_PROFILES[spec.app](),
+                       seed=spec.seed)
     if cell.target_ci is not None:
-        return runner.run_adaptive(cell.os_instance, cell.n_nodes,
-                                   n_runs=cell.n_runs,
+        return runner.run_adaptive(resolved.os_instance, spec.n_nodes,
+                                   n_runs=spec.n_runs,
                                    target_ci=cell.target_ci,
                                    max_runs=cell.max_adaptive_runs)
-    return runner.run(cell.os_instance, cell.n_nodes, n_runs=cell.n_runs)
+    return runner.run(resolved.os_instance, spec.n_nodes,
+                      n_runs=spec.n_runs)
 
 
 def _run_serial(cells: Sequence[RunCell]) -> list["RunResult"]:
@@ -197,10 +189,9 @@ def execute_cells(cells: Sequence[RunCell]) -> list["RunResult"]:
     pending: list[int] = []
     keys: dict[int, str] = {}
     if cache is not None:
-        memo: dict = {}
         with counters.timer("cache.lookup"):
             for i, cell in enumerate(cells):
-                keys[i] = cell.key(memo)
+                keys[i] = cell.key()
                 hit = cache.get(keys[i])
                 if hit is not None:
                     results[i] = hit

@@ -99,21 +99,7 @@ def run_cells(specs: Sequence[RunSpec]) -> "list[RunResult]":
     from ..perf.executor import RunCell, adaptive_fields, execute_cells
 
     adaptive = adaptive_fields()
-    cells = []
-    for spec in specs:
-        resolved = build(spec.platform)
-        profile = _profile(spec.app)
-        cells.append(RunCell(resolved.machine, profile,
-                             resolved.os_instance, spec.n_nodes,
-                             spec.n_runs, spec.seed, spec=spec,
-                             **adaptive))
-    return execute_cells(cells)
-
-
-def _profile(app: str):
-    from ..apps import ALL_PROFILES
-
-    return ALL_PROFILES[app]()
+    return execute_cells([RunCell(spec, **adaptive) for spec in specs])
 
 
 def compare_platforms(

@@ -8,7 +8,7 @@ from .nodesim import (
     simulate_bsp,
     validate_against_sampler,
 )
-from .runner import AppRunner, Breakdown, Comparison, RunResult, compare
+from .runner import AppRunner, Breakdown, Comparison, RunResult
 
 __all__ = [
     "NodeSimResult",
@@ -23,5 +23,4 @@ __all__ = [
     "Breakdown",
     "Comparison",
     "RunResult",
-    "compare",
 ]

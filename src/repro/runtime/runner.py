@@ -437,40 +437,3 @@ class Comparison:
     def speedup_percent(self) -> float:
         return (self.relative_performance - 1.0) * 100.0
 
-
-def compare(
-    machine: Machine,
-    profile: WorkloadProfile,
-    linux: OsInstance,
-    mckernel: OsInstance,
-    node_counts: list[int],
-    n_runs: int = 3,
-    seed: int = 0,
-) -> list[Comparison]:
-    """Run the Linux/McKernel pair across a node-count sweep.
-
-    Mirrors the paper's methodology note: "for each node count the
-    exact same compute nodes are utilized for both" — here, the same
-    seed stream drives both OSes at each node count.
-
-    Every (OS, n_nodes) cell derives its RNG streams purely from its
-    own coordinates, so the sweep fans out over the
-    :mod:`repro.perf` executor: the ambient
-    :func:`repro.perf.perf_context` selects parallelism and run
-    memoization, with results bit-identical to the serial path.
-    """
-    from ..perf.executor import RunCell, adaptive_fields, execute_cells
-
-    adaptive = adaptive_fields()
-    cells = []
-    for n in node_counts:
-        cells.append(RunCell(machine, profile, linux, n, n_runs, seed,
-                             **adaptive))
-        cells.append(RunCell(machine, profile, mckernel, n, n_runs, seed,
-                             **adaptive))
-    results = execute_cells(cells)
-    return [
-        Comparison(n_nodes=n, linux=results[2 * i],
-                   mckernel=results[2 * i + 1])
-        for i, n in enumerate(node_counts)
-    ]

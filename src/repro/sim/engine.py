@@ -5,9 +5,9 @@ A deliberately small, dependency-free DES core in the style of SimPy:
 (currently: time delays and event waits), and the engine advances a
 virtual clock through a binary-heap event queue.
 
-The engine is used for node-level simulation — kernel task scheduling,
-system-call delegation over IKC, proxy-process interactions — where
-causal ordering matters.  Large-scale statistics (Figure 4 at 158k nodes)
+The engine is used for node-level simulation — kernel task scheduling
+and the batch scheduler's job lifecycles — where causal ordering
+matters.  Large-scale statistics (Figure 4 at 158k nodes)
 are produced by the vectorized samplers in :mod:`repro.noise.sampler`
 instead, per the scale strategy in DESIGN.md.
 """

@@ -36,7 +36,7 @@ def test_memory_chain():
 
 def test_fault_chain():
     for cls in (errors.NodeFailure, errors.ProxyCrashed,
-                errors.IkcTimeoutError, errors.JobRetriesExhausted):
+                errors.JobRetriesExhausted):
         assert issubclass(cls, errors.FaultError)
         assert issubclass(cls, errors.ReproError)
     # CgroupLimitExceeded deliberately stays on the memory branch: an
@@ -59,6 +59,6 @@ def test_syscall_error_errno_name():
 
 def test_catching_repro_error_catches_everything():
     with pytest.raises(errors.ReproError):
-        raise errors.IkcTimeoutError("lost message")
+        raise errors.ProxyCrashed("proxy died")
     with pytest.raises(errors.ReproError):
         raise errors.CacheCorruptionError("truncated entry")

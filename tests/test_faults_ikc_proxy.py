@@ -1,145 +1,9 @@
-"""Component-level fault semantics: unreliable IKC channels (drop,
-re-delivery, timeout) and proxy-process crash/respawn."""
+"""Proxy-process lifecycle: teardown on exit."""
 
-import numpy as np
 import pytest
 
-from repro.errors import (
-    ConfigurationError,
-    IkcTimeoutError,
-    ProxyCrashed,
-    SyscallError,
-)
-from repro.faults import FaultInjector, FaultSpec
-from repro.mckernel.ikc import IkcChannel, IkcPair, IkcSpec
+from repro.errors import SyscallError
 from repro.mckernel.proxy import ProxyProcess
-from repro.sim.engine import Engine
-
-
-def _drain(engine, event):
-    got = {}
-    def waiter():
-        payload = yield event
-        got["payload"] = payload
-    engine.process(waiter())
-    engine.run()
-    return got.get("payload")
-
-
-# -- IKC ---------------------------------------------------------------
-
-
-def test_reliable_channel_without_rng_even_with_drop_prob():
-    """No drop stream wired => reliable, whatever the spec says."""
-    eng = Engine()
-    ch = IkcChannel(IkcSpec(drop_prob=0.9), name="ch")
-    msg = _drain(eng, ch.post_async(eng, "req"))
-    assert msg is not None and msg.payload == "req"
-    assert ch.dropped == 0 and ch.timeouts == 0
-
-
-def test_drops_are_redelivered():
-    eng = Engine()
-    rng = np.random.Generator(np.random.PCG64(1))
-    ch = IkcChannel(IkcSpec(drop_prob=0.5, max_redeliveries=50),
-                    name="ch", drop_rng=rng)
-    delivered = 0
-    for i in range(20):
-        msg = _drain(eng, ch.post_async(eng, i))
-        if msg is not None:
-            delivered += 1
-    assert delivered == 20          # generous budget: everything lands
-    assert ch.dropped > 0
-    assert ch.redelivered == ch.dropped
-    assert len(ch) == 0             # ring fully drained
-
-
-def test_redelivery_budget_exhaustion_counts_timeout():
-    eng = Engine()
-
-    class AlwaysDrop:
-        def random(self):
-            return 0.0  # < drop_prob, every delivery lost
-
-    ch = IkcChannel(IkcSpec(drop_prob=0.5, max_redeliveries=2),
-                    name="ch", drop_rng=AlwaysDrop())
-    msg = _drain(eng, ch.post_async(eng, "req"))
-    assert msg is None
-    assert ch.timeouts == 1
-    assert ch.dropped == 3          # initial try + 2 redeliveries
-    assert len(ch) == 0             # abandoned message drained off ring
-    err = ch.timeout_error()
-    assert isinstance(err, IkcTimeoutError)
-    assert "ch" in str(err)
-
-
-def test_redelivery_costs_time():
-    def span(drop_rng):
-        eng = Engine()
-        ch = IkcChannel(IkcSpec(drop_prob=0.5, max_redeliveries=4),
-                        name="ch", drop_rng=drop_rng)
-        _drain(eng, ch.post_async(eng, "x"))
-        return eng.now
-
-    class DropOnce:
-        def __init__(self):
-            self.calls = 0
-        def random(self):
-            self.calls += 1
-            return 0.0 if self.calls == 1 else 1.0
-
-    assert span(DropOnce()) > span(None)
-
-
-def test_ikc_spec_validation():
-    with pytest.raises(ConfigurationError):
-        IkcSpec(drop_prob=1.0)
-    with pytest.raises(ConfigurationError):
-        IkcSpec(redelivery_timeout=-1.0)
-    with pytest.raises(ConfigurationError):
-        IkcSpec(max_redeliveries=-1)
-
-
-def test_pair_wires_drop_rng_to_both_channels():
-    inj = FaultInjector(FaultSpec(ikc_drop_prob=0.5, seed=2))
-    rng = inj.ikc_channel_rng("pair0")
-    pair = IkcPair(IkcSpec(drop_prob=0.5), drop_rng=rng)
-    assert pair.to_linux.drop_rng is rng
-    assert pair.to_lwk.drop_rng is rng
-
-
-# -- proxy -------------------------------------------------------------
-
-
-def test_crash_loses_delegated_state():
-    proxy = ProxyProcess(pid=100, lwk_pid=1)
-    fd = proxy.sys_open("/data/input", "r")
-    proxy.sys_write(1, 64)
-    proxy.crash()
-    with pytest.raises(ProxyCrashed):
-        proxy.sys_read(fd, 16)
-    with pytest.raises(ProxyCrashed):
-        proxy.sys_open("/data/other")
-    assert proxy.open_fd_count == 0
-
-
-def test_respawn_restores_service_but_not_state():
-    proxy = ProxyProcess(pid=100, lwk_pid=1)
-    fd = proxy.sys_open("/data/input", "r")
-    n_delegations = len(proxy.delegations)
-    proxy.crash()
-    proxy.respawn()
-    assert proxy.alive and not proxy.crashed
-    assert proxy.respawns == 1
-    # Standard streams are back; the application fd dangles.
-    assert proxy.open_fd_count == 3
-    with pytest.raises(SyscallError) as err:
-        proxy.sys_read(fd, 16)
-    assert err.value.errno_name == "EBADF"
-    # Audit log survives the crash (it lives with the simulator).
-    assert len(proxy.delegations) == n_delegations
-    # New delegated opens allocate fresh fds from the standard base.
-    assert proxy.sys_open("/data/again") == 3
 
 
 def test_exit_is_not_a_crash():

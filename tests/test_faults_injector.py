@@ -131,12 +131,3 @@ def test_schedule_validation():
         inj.schedule(4, -1.0, stream="s")
     assert len(inj.schedule(4, 0.0, stream="s")) == 0
 
-
-def test_ikc_channel_rng_gating():
-    assert FaultInjector(RICH).ikc_channel_rng("ch") is None
-    inj = FaultInjector(RICH.with_(ikc_drop_prob=0.1))
-    rng_a = inj.ikc_channel_rng("ch")
-    rng_b = inj.ikc_channel_rng("ch")
-    assert rng_a is not None
-    assert [rng_a.random() for _ in range(5)] == \
-        [rng_b.random() for _ in range(5)]

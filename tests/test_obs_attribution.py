@@ -98,7 +98,7 @@ def test_cli_summarize_matches_golden_fixture(capsys):
     from repro.cli import main
 
     rc = main(["trace", "summarize",
-               str(GOLDEN / "trace_slice_seed0.jsonl"), "--top", "5"])
+               str(GOLDEN / "trace_faults_seed0.jsonl"), "--top", "5"])
     assert rc == 0
     out = capsys.readouterr().out
     expected = (GOLDEN / "trace_summary_seed0.txt").read_text(

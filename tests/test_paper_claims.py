@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro import quick_compare
-from repro.apps import ALL_PROFILES
 from repro.apps.fwq import FwqConfig, run_fwq_on
 from repro.experiments import run_experiment
 from repro.hardware.machines import a64fx_testbed, fugaku
@@ -29,7 +28,8 @@ from repro.kernel.tuning import (
 from repro.mckernel.lwk import boot_mckernel
 from repro.net.rdma import registration_time
 from repro.noise.mitigation import TABLE2_PAPER
-from repro.runtime.runner import compare
+from repro.platform import RunSpec, get_platform, run_cells
+from repro.runtime.runner import Comparison
 from repro.units import mib, ns
 
 
@@ -121,23 +121,26 @@ def test_headline_summary_bands():
 
 # --- tuning-level claim ----------------------------------------------------
 
+def _lqcd_gain_at_2048(linux_tuning) -> float:
+    """McKernel's LQCD gain (%) over Linux under ``linux_tuning`` on
+    2,048 Fugaku nodes; the LWK's host Linux keeps the production
+    tuning, and both kernels share one seed stream."""
+    platform = get_platform("fugaku-production")
+    linux, mck = run_cells([
+        RunSpec(platform=p, app="LQCD", n_nodes=2048)
+        for p in (platform.with_tuning(linux_tuning),
+                  platform.with_os("mckernel"))])
+    return Comparison(2048, linux, mck).speedup_percent
+
+
 def test_tuning_matters_more_than_kernel_choice():
     """The paper's core finding: a highly tuned Linux gets close to LWK
     performance; an untuned one does not.  Disabling just the daemon
     countermeasure on Fugaku-like Linux swings results far more than
     the remaining Linux-vs-McKernel gap."""
-    machine = fugaku()
-    profile = ALL_PROFILES["LQCD"]()
     tuned = fugaku_production()
     detuned = tuned.disable(Countermeasure.DAEMON_BINDING)
-    mck = boot_mckernel(machine.node, host_tuning=tuned)
-    tuned_comp = compare(machine, profile,
-                         LinuxKernel(machine.node, tuned), mck,
-                         [2048], seed=0)[0]
-    detuned_comp = compare(machine, profile,
-                           LinuxKernel(machine.node, detuned), mck,
-                           [2048], seed=0)[0]
-    assert detuned_comp.speedup_percent > 10 * abs(tuned_comp.speedup_percent)
+    assert _lqcd_gain_at_2048(detuned) > 10 * abs(_lqcd_gain_at_2048(tuned))
 
 
 def test_fwq_tail_orderings_across_stack():
@@ -236,9 +239,6 @@ def test_ablation_tuning_erases_mckernel_gain():
     """The core finding quantified: McKernel's LQCD gain at 2,048 Fugaku
     nodes falls from tens of percent against untuned Linux to about zero
     against the production stack as Linux tuning rises."""
-    machine = fugaku()
-    profile = ALL_PROFILES["LQCD"]()
-    mck = boot_mckernel(machine.node, host_tuning=fugaku_production())
     stacks = {
         "untuned": untuned(),
         # OFP-style moderate tuning on A64FX: nohz_full but no
@@ -247,9 +247,7 @@ def test_ablation_tuning_erases_mckernel_gain():
                             tlb_flush_mode=untuned().tlb_flush_mode),
         "production": fugaku_production(),
     }
-    gains = {label: compare(machine, profile,
-                            LinuxKernel(machine.node, tuning), mck, [2048],
-                            n_runs=3, seed=0)[0].speedup_percent
+    gains = {label: _lqcd_gain_at_2048(tuning)
              for label, tuning in stacks.items()}
     assert gains["untuned"] > gains["moderate"] > -2.0
     assert abs(gains["production"]) < 5.0

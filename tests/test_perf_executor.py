@@ -8,7 +8,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
-from repro.apps import ALL_PROFILES
+from repro.errors import ConfigurationError
 from repro.experiments import run_experiment
 from repro.experiments.appfigs import sweep_apps
 from repro.obs.metrics import MetricsRegistry
@@ -19,7 +19,16 @@ from repro.perf import (
     perf_context,
 )
 from repro.perf import executor as executor_mod
-from repro.runtime.runner import compare
+from repro.platform import RunSpec, compare_platforms, get_platform
+
+OFP = get_platform("ofp-default")
+
+
+def ofp_cells(app, node_counts, os_kinds=("linux",)):
+    """One single-trial, seed-0 cell per (node count, kernel) on OFP."""
+    return [RunCell(RunSpec(platform=OFP.with_os(kind), app=app,
+                            n_nodes=n, n_runs=1))
+            for n in node_counts for kind in os_kinds]
 
 
 def assert_results_equal(a, b):
@@ -30,14 +39,11 @@ def assert_results_equal(a, b):
            (b.app, b.machine, b.os_kind, b.n_nodes, b.n_threads)
 
 
-def test_compare_parallel_matches_serial(ofp_machine, ofp_linux,
-                                         ofp_mckernel):
-    profile = ALL_PROFILES["LQCD"]()
-    serial = compare(ofp_machine, profile, ofp_linux, ofp_mckernel,
-                     [16, 64], n_runs=2, seed=3)
+def test_compare_parallel_matches_serial():
+    serial = compare_platforms(OFP, "LQCD", [16, 64], n_runs=2, seed=3)
     with perf_context(jobs=4):
-        parallel = compare(ofp_machine, profile, ofp_linux, ofp_mckernel,
-                           [16, 64], n_runs=2, seed=3)
+        parallel = compare_platforms(OFP, "LQCD", [16, 64], n_runs=2,
+                                     seed=3)
     assert len(serial) == len(parallel) == 2
     for s, p in zip(serial, parallel):
         assert s.n_nodes == p.n_nodes
@@ -46,9 +52,7 @@ def test_compare_parallel_matches_serial(ofp_machine, ofp_linux,
 
 
 def test_sweep_apps_parallel_matches_serial():
-    from repro.platform import get_platform
-
-    kwargs = dict(platform=get_platform("ofp-default"),
+    kwargs = dict(platform=OFP,
                   apps=["AMG2013", "Milc"], node_counts=[16, 64],
                   n_runs=2, seed=7)
     serial = sweep_apps(**kwargs)
@@ -70,22 +74,17 @@ def test_fig5_parallel_render_identical():
     assert parallel.data == serial.data
 
 
-def test_cell_order_is_preserved(ofp_machine, ofp_linux, ofp_mckernel):
-    profile = ALL_PROFILES["Milc"]()
-    cells = [RunCell(ofp_machine, profile, os_i, n, 1, 0)
-             for n in (16, 64, 256) for os_i in (ofp_linux, ofp_mckernel)]
+def test_cell_order_is_preserved():
+    cells = ofp_cells("Milc", (16, 64, 256), ("linux", "mckernel"))
     with perf_context(jobs=4):
         results = execute_cells(cells)
     for cell, result in zip(cells, results):
-        assert result.n_nodes == cell.n_nodes
-        assert result.os_kind == cell.os_instance.kind
+        assert result.n_nodes == cell.spec.n_nodes
+        assert result.os_kind == cell.spec.platform.os_kind
 
 
-def test_pool_failure_degrades_to_serial(monkeypatch, ofp_machine,
-                                         ofp_linux):
-    profile = ALL_PROFILES["AMG2013"]()
-    cells = [RunCell(ofp_machine, profile, ofp_linux, n, 1, 0)
-             for n in (16, 64)]
+def test_pool_failure_degrades_to_serial(monkeypatch):
+    cells = ofp_cells("AMG2013", (16, 64))
     reference = execute_cells(cells)
 
     def broken_pool(pool, todo, jobs, timeout):
@@ -102,11 +101,8 @@ def test_pool_failure_degrades_to_serial(monkeypatch, ofp_machine,
         assert_results_equal(r, ref)
 
 
-def test_unpicklable_payload_degrades_to_serial(monkeypatch, ofp_machine,
-                                                ofp_linux):
-    profile = ALL_PROFILES["AMG2013"]()
-    cells = [RunCell(ofp_machine, profile, ofp_linux, n, 1, 0)
-             for n in (16, 64)]
+def test_unpicklable_payload_degrades_to_serial(monkeypatch):
+    cells = ofp_cells("AMG2013", (16, 64))
     reference = execute_cells(cells)
 
     def unpicklable(pool, todo, jobs, timeout):
@@ -119,18 +115,17 @@ def test_unpicklable_payload_degrades_to_serial(monkeypatch, ofp_machine,
         assert_results_equal(r, ref)
 
 
-def test_model_errors_propagate(ofp_machine, ofp_linux):
-    profile = ALL_PROFILES["AMG2013"]()
-    bad = RunCell(ofp_machine, profile, ofp_linux, n_nodes=0, n_runs=1,
-                  seed=0)
-    with pytest.raises(Exception):
+def test_model_errors_propagate(ofp_machine):
+    # RunSpec accepts any positive node count; the model refuses one
+    # beyond the machine.
+    bad = RunCell(RunSpec(platform=OFP, app="AMG2013",
+                          n_nodes=ofp_machine.n_nodes + 1, n_runs=1))
+    with pytest.raises(ConfigurationError, match="n_nodes"):
         execute_cells([bad])
 
 
-def test_counters_record_fanout(ofp_machine, ofp_linux):
-    profile = ALL_PROFILES["Lulesh"]()
-    cells = [RunCell(ofp_machine, profile, ofp_linux, n, 1, 0)
-             for n in (16, 64, 256)]
+def test_counters_record_fanout():
+    cells = ofp_cells("Lulesh", (16, 64, 256))
     counters = MetricsRegistry()
     with perf_context(jobs=1, counters=counters):
         execute_cells(cells)
@@ -140,12 +135,10 @@ def test_counters_record_fanout(ofp_machine, ofp_linux):
 
 
 def test_partial_pool_failure_retries_only_unfinished(
-        monkeypatch, caplog, ofp_machine, ofp_linux):
+        monkeypatch, caplog):
     """A mid-batch pool death keeps the harvested results: the warning
     names the failing cell's key and only the remainder is re-run."""
-    profile = ALL_PROFILES["AMG2013"]()
-    cells = [RunCell(ofp_machine, profile, ofp_linux, n, 1, 0)
-             for n in (16, 64, 256)]
+    cells = ofp_cells("AMG2013", (16, 64, 256))
     reference = execute_cells(cells)
 
     calls = []
@@ -179,12 +172,10 @@ def test_partial_pool_failure_retries_only_unfinished(
 
 
 def test_partial_results_survive_total_pool_collapse(
-        monkeypatch, ofp_machine, ofp_linux):
+        monkeypatch):
     """Even when every retry fails, harvested results are kept and only
     the remainder runs serially."""
-    profile = ALL_PROFILES["AMG2013"]()
-    cells = [RunCell(ofp_machine, profile, ofp_linux, n, 1, 0)
-             for n in (16, 64)]
+    cells = ofp_cells("AMG2013", (16, 64))
     reference = execute_cells(cells)
     by_key = {c.key(): r for c, r in zip(cells, reference)}
 
@@ -206,11 +197,8 @@ def test_partial_results_survive_total_pool_collapse(
         assert_results_equal(r, ref)
 
 
-def test_zero_retries_goes_straight_to_serial(monkeypatch, ofp_machine,
-                                              ofp_linux):
-    profile = ALL_PROFILES["AMG2013"]()
-    cells = [RunCell(ofp_machine, profile, ofp_linux, n, 1, 0)
-             for n in (16, 64)]
+def test_zero_retries_goes_straight_to_serial(monkeypatch):
+    cells = ofp_cells("AMG2013", (16, 64))
     reference = execute_cells(cells)
 
     calls = []
@@ -227,12 +215,10 @@ def test_zero_retries_goes_straight_to_serial(monkeypatch, ofp_machine,
         assert_results_equal(r, ref)
 
 
-def test_cell_timeout_still_produces_full_results(ofp_machine, ofp_linux):
+def test_cell_timeout_still_produces_full_results():
     """An absurdly small per-cell budget may expire the pool attempts,
     but the serial fallback still completes the sweep byte-identically."""
-    profile = ALL_PROFILES["AMG2013"]()
-    cells = [RunCell(ofp_machine, profile, ofp_linux, n, 1, 0)
-             for n in (16, 64)]
+    cells = ofp_cells("AMG2013", (16, 64))
     reference = execute_cells(cells)
     with perf_context(jobs=2, cell_timeout=1e-6, max_retries=1):
         results = execute_cells(cells)

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.apps import ALL_PROFILES
 from repro.apps.base import InitPhase, WorkloadProfile
 from repro.errors import ConfigurationError
-from repro.runtime.runner import AppRunner, compare
+from repro.platform import compare_platforms, get_platform
+from repro.runtime.runner import AppRunner
 from repro.units import mib
 
 
@@ -107,11 +107,9 @@ def test_node_count_bounds(fugaku_machine, fugaku_linux):
         runner.run(fugaku_linux, 16, n_runs=0)
 
 
-def test_compare_pairs_and_relative_performance(
-        fugaku_machine, fugaku_linux, fugaku_mckernel):
-    profile = ALL_PROFILES["GAMERA"]()
-    comps = compare(fugaku_machine, profile, fugaku_linux, fugaku_mckernel,
-                    [512, 8192], n_runs=2, seed=0)
+def test_compare_pairs_and_relative_performance():
+    comps = compare_platforms(get_platform("fugaku-production"), "GAMERA",
+                              [512, 8192], n_runs=2, seed=0)
     assert [c.n_nodes for c in comps] == [512, 8192]
     for c in comps:
         assert c.relative_performance == pytest.approx(

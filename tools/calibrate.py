@@ -1,30 +1,22 @@
 """Calibration driver: print McKernel-vs-Linux gains across node sweeps."""
-import numpy as np
-from repro.hardware import fugaku, oakforest_pacs
-from repro.kernel import LinuxKernel, fugaku_production, ofp_default
-from repro.mckernel import boot_mckernel
-from repro.runtime import compare
-from repro.apps import ALL_PROFILES
+from repro.platform import compare_platforms, get_platform
 
-def sweep(machine, tuning, apps, counts):
-    linux = LinuxKernel(machine.node, tuning, interconnect=machine.interconnect)
-    mck = boot_mckernel(machine.node, host_tuning=tuning)
+def sweep(name, apps, counts):
+    platform = get_platform(name)
+    machine = platform.resolved_machine()
     for app in apps:
-        p = ALL_PROFILES[app]()
-        comps = compare(machine, p, linux, mck, counts, n_runs=3, seed=1)
+        comps = compare_platforms(platform, app, counts, n_runs=3, seed=1)
         row = "  ".join(f"{c.n_nodes}:{c.speedup_percent:+5.1f}%" for c in comps)
         lt = comps[-1].linux.mean_time; mt = comps[-1].mckernel.mean_time
         print(f"{machine.name:>15} {app:>8}: {row}   (T_lin={lt:.1f}s T_mck={mt:.1f}s)")
         b = comps[-1].linux.breakdown
         print(f"{'':>24} linux breakdown: comp={b.compute:.1f} tlb={b.tlb:.2f} churn={b.churn:.2f} coll={b.collective:.2f} noise={b.noise:.2f} init={b.init:.2f}")
 
-ofp = oakforest_pacs()
 print("== OFP (targets: AMG +18%@8k, Milc +22%@8k, Lulesh ~2x@8k, LQCD +25%@2k, GeoFEM +6%@8k, GAMERA +25%@4k)")
-sweep(ofp, ofp_default(), ["AMG2013","Milc","Lulesh"], [16,128,1024,8192])
-sweep(ofp, ofp_default(), ["LQCD"], [256,512,1024,2048])
-sweep(ofp, ofp_default(), ["GeoFEM"], [16,128,1024,8192])
-sweep(ofp, ofp_default(), ["GAMERA"], [512,1024,2048,4096])
+sweep("ofp-default", ["AMG2013","Milc","Lulesh"], [16,128,1024,8192])
+sweep("ofp-default", ["LQCD"], [256,512,1024,2048])
+sweep("ofp-default", ["GeoFEM"], [16,128,1024,8192])
+sweep("ofp-default", ["GAMERA"], [512,1024,2048,4096])
 
-fug = fugaku()
 print("== Fugaku (targets: LQCD ~0%, GeoFEM ~+3%, GAMERA +29%@8k)")
-sweep(fug, fugaku_production(), ["LQCD","GeoFEM","GAMERA"], [384,1536,4608,9216] if False else [512,2048,8192])
+sweep("fugaku-production", ["LQCD","GeoFEM","GAMERA"], [384,1536,4608,9216] if False else [512,2048,8192])

@@ -36,11 +36,11 @@ PERFORMANCE_SECTION = """\
 ## Performance & parallel execution
 
 The sweeps behind `compare`, Figs. 5-7 and `run_all` decompose into
-independent *cells* `(machine, profile, OS, n_nodes, n_runs, seed)`.
-Each cell derives its RNG streams purely from those coordinates, so
-`repro.perf` can execute cells in any order — across worker processes
-or out of a memoized cache — and still reproduce the serial results
-bit for bit.
+independent *cells*, each one `repro.platform.RunSpec` (platform, app,
+n_nodes, n_runs, seed).  Each cell derives its RNG streams purely from
+those coordinates, so `repro.perf` can execute cells in any order —
+across worker processes or out of a memoized cache — and still
+reproduce the serial results bit for bit.
 
 Three composable layers:
 
@@ -49,12 +49,9 @@ Three composable layers:
   in submission order.  Pool-infrastructure failures degrade to the
   serial path transparently; model errors propagate unchanged.
 * **Run cache** — `RunCache` stores RunResults content-addressed by
-  SHA-256.  Cells carrying a `repro.platform.RunSpec` (everything the
-  experiments and CLI produce) hash the spec's canonical JSON — the
-  key is auditable from a text artifact, and disk entries embed the
-  spec next to the result.  Raw RunCells fall back to an object-walk
-  fingerprint over machine, profile, OS signature (tuning, cost model,
-  feature switches), node/repetition counts, seed and package version.
+  SHA-256 of each cell's canonical RunSpec JSON plus the package
+  version (`spec_key`) — the key is auditable from a text artifact,
+  and disk entries embed the spec next to the result.
   Any configuration change produces a new key, so stale entries are
   unreachable rather than invalidated.  The disk tier lives in
   `$REPRO_CACHE_DIR` (default `~/.cache/repro-runs`); writes are
@@ -132,11 +129,10 @@ Component wiring:
   FAILED — and reports `success_rate()`, `effective_utilization()`
   (goodput: completed payload only) and `fault_report()` (the
   checkpoint-cost vs lost-work tradeoff, per run).
-* `IkcChannel(spec, drop_rng=...)` models in-flight message loss with
-  sender-side re-delivery and timeout accounting; an injected OOM
-  raises the existing `CgroupLimitExceeded`; `ProxyProcess.crash()` /
-  `.respawn()` model the §6 proxy-death failure mode (all Linux-side
-  delegated state is lost).
+* An injected OOM raises the existing `CgroupLimitExceeded`, and an
+  injected proxy crash raises `ProxyCrashed`, the §6 proxy-death
+  failure mode (all Linux-side delegated state is lost); the batch
+  scheduler retries both.
 
 ```python
 from repro.faults import FaultSpec
