@@ -552,24 +552,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0 if report["ok"] else 1
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    if args.analyze_cmd == "lint":
-        from .analysis.linter import run_lint
-
-        return run_lint(
-            args.paths or None,
-            baseline_path=args.baseline,
-            no_baseline=args.no_baseline,
-            output_format="json" if args.json else "text",
-            prune_baseline=args.prune_baseline,
-        )
-
-    # analyze rules
-    from .analysis.linter import run_rules
-
-    return run_rules(output_format="json" if args.json else "text")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -688,29 +670,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_metrics.add_argument("--jobs", type=int, default=1, metavar="N")
     p_metrics.add_argument("--no-cache", action="store_true")
     p_metrics.add_argument("--cache-dir", metavar="DIR")
-
-    p_ana = sub.add_parser(
-        "analyze", help="determinism lint")
-    ana_sub = p_ana.add_subparsers(dest="analyze_cmd", required=True)
-    p_lint = ana_sub.add_parser(
-        "lint", help="run the determinism sanitizer (DET001..DET010)")
-    p_lint.add_argument("paths", nargs="*",
-                        help="files/directories to lint (default: the "
-                             "installed repro package)")
-    p_lint.add_argument("--baseline", metavar="FILE",
-                        help="suppression baseline JSON (default: the "
-                             "checked-in analysis/baseline.json)")
-    p_lint.add_argument("--no-baseline", action="store_true",
-                        help="report every finding, suppressing nothing")
-    p_lint.add_argument("--json", action="store_true",
-                        help="machine-readable report on stdout")
-    p_lint.add_argument("--prune-baseline", action="store_true",
-                        help="rewrite the baseline dropping stale "
-                             "entries; exit 1 when anything was pruned")
-    p_rules = ana_sub.add_parser(
-        "rules", help="list the determinism lint rules (DET001..DET010)")
-    p_rules.add_argument("--json", action="store_true",
-                         help="canonical-JSON catalogue on stdout")
 
     service_dir_help = ("service directory (default: $REPRO_SERVICE_DIR "
                         "or ~/.local/state/repro-service)")
@@ -871,7 +830,6 @@ def main(argv: list[str] | None = None) -> int:
         "cache": _cmd_cache,
         "trace": _cmd_trace,
         "metrics": _cmd_metrics,
-        "analyze": _cmd_analyze,
         "serve": _cmd_serve,
         "submit": _cmd_submit,
         "status": _cmd_status,

@@ -52,9 +52,7 @@ re-execution.
 
 Everything quarantined lands under ``<root>/quarantine/`` with its
 sub-tree preserved; nothing is ever deleted.  The report is canonical
-JSON — byte-stable for identical directory states — and the module
-passes the DET lint with no baseline entries, like the rest of the
-service package.
+JSON — byte-stable for identical directory states.
 """
 
 from __future__ import annotations

@@ -17,13 +17,13 @@ Three kinds:
 
 Job ids are deterministic: ``j<seq>-<sha256 prefix>`` where ``seq`` is
 the submission ordinal and the digest is over the jobspec's canonical
-JSON — no clocks, no UUIDs, nothing host-dependent (DET-lint clean by
-construction).
+JSON — no clocks, no UUIDs, nothing host-dependent.
 """
 
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -32,7 +32,7 @@ from ..jsonfields import document, get, parse
 from ..obs.export import canonical_json
 from ..platform.spec import RunSpec
 
-__all__ = ["JOB_KINDS", "JobSpec", "job_id_for", "load_jobspec"]
+__all__ = ["JOB_ID", "JOB_KINDS", "JobSpec", "job_id_for", "load_jobspec"]
 
 #: The accepted submission kinds.
 JOB_KINDS = ("run", "sweep", "experiment")
@@ -129,6 +129,13 @@ class JobSpec:
         specs = tuple(specs)
         kind = "run" if len(specs) == 1 else "sweep"
         return cls(kind=kind, specs=specs)
+
+
+#: Every id :func:`job_id_for` can return: the submission ordinal (six
+#: digits or more) and ten hex digits of the spec digest.  Nothing
+#: else names a job; the journal fold refuses any other id, since ids
+#: become file names under ``jobs/``, ``claims/`` and ``results/``.
+JOB_ID = re.compile(r"j[0-9]{6,}-[0-9a-f]{10}")
 
 
 def job_id_for(seq: int, jobspec: JobSpec) -> str:

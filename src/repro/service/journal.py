@@ -23,9 +23,7 @@ table current by parsing only the lines appended since its last look
 corruption, not something to skip.
 
 Records are canonical JSON (sorted keys, fixed separators) so the
-journal bytes are a deterministic function of the transition sequence
-— ``repro analyze lint`` holds this module to the same DET rules as
-the exporters.
+journal bytes are a deterministic function of the transition sequence.
 """
 
 from __future__ import annotations
@@ -38,6 +36,7 @@ from dataclasses import dataclass
 
 from ..durable import AppendLog, LogTail
 from ..errors import JournalCorruptionError
+from .jobs import JOB_ID
 
 __all__ = ["CLAIMABLE", "FOLD", "JobState", "JobView", "Journal",
            "JournalFold", "TERMINAL", "fold_records"]
@@ -132,7 +131,8 @@ def fold_records(views: dict[str, JobView], tail: LogTail,
                  path: "str | os.PathLike") -> int:
     """Fold ``tail``'s records through :data:`FOLD` into ``views``
     (job id -> view, in first-record order); returns the number of
-    ``submit`` records.  A record with an unknown type, no job id or a
+    ``submit`` records.  A record with an unknown type, a job id that
+    :func:`~repro.service.jobs.job_id_for` could not have produced or a
     malformed field raises :class:`~repro.errors.JournalCorruptionError`
     naming its line in ``path``; ``views`` is then partly folded."""
     submits = 0
@@ -141,13 +141,16 @@ def fold_records(views: dict[str, JobView], tail: LogTail,
         # A non-string type (a list is unhashable) is unknown too.
         handler = FOLD.get(rtype) if isinstance(rtype, str) else None
         job_id = record.get("job")
-        if handler is None or not isinstance(job_id, str) or not job_id:
-            problem = "no job id" if handler is not None else \
-                f"unknown record type {rtype!r}"
+        if handler is None:
             raise JournalCorruptionError(
-                f"{path}:{number}: {problem} in the journal")
-        view = views.get(job_id)
+                f"{path}:{number}: unknown record type {rtype!r} "
+                "in the journal")
+        view = views.get(job_id) if isinstance(job_id, str) else None
         if view is None:
+            # Every id in ``views`` passed this check when it first came.
+            if not isinstance(job_id, str) or not JOB_ID.fullmatch(job_id):
+                raise JournalCorruptionError(
+                    f"{path}:{number}: bad job id {job_id!r} in the journal")
             view = views[job_id] = JobView(job_id)
         try:
             handler(view, record)
@@ -223,7 +226,7 @@ class JournalFold:
     the offset: another worker may still be appending it.  Nothing is
     indexed on disk; the memo lives and dies with the process.
 
-    A damaged line, or a record with an unknown type, no job id or a
+    A damaged line, or a record with an unknown type, a bad job id or a
     malformed field, raises :class:`~repro.errors.JournalCorruptionError`
     naming its line, counted from the start of the file.  A damaged
     line leaves the memo as it was; a bad record empties it, since part

@@ -35,8 +35,7 @@ lease dead only after the counter fails to advance across
 :class:`~repro.service.worker.Worker`), and breaking the lease is a
 rename of the claim file — again exactly-one-winner.  Every write
 goes through :mod:`repro.durable`.  No
-wall-clock reads anywhere: the module passes the DET determinism lint
-with no baseline entries.
+wall-clock reads anywhere.
 
 **Crash accounting.**  A broken lease appends a ``retry`` record (or
 ``fail`` once the :class:`~repro.faults.RetryPolicy` budget is spent)

@@ -1,11 +1,9 @@
 """Crash-consistency gates: the checks that replaced the retired CC
 rules, each shown to fire when the property it guards is broken and
-to stay quiet on the package as shipped, plus the rule catalogue and
-baseline-pruning surface of ``repro analyze``."""
+to stay quiet on the package as shipped."""
 
 import contextlib
 import importlib
-import io
 import json
 import os
 import pathlib
@@ -14,8 +12,6 @@ import re
 import pytest
 
 from repro import durable
-from repro.analysis.linter import run_lint, run_rules
-from repro.analysis.rules import RULES
 from repro.chaos import (
     CRASH_POINTS,
     WRITE_SITES,
@@ -285,66 +281,6 @@ def test_repro_package_is_crash_clean_under_checked_in_baseline(
     crash."""
     assert uncontained_syscalls(PACKAGE_DIR) == []
     assert _absorbed_crashes(tmp_path) == []
-
-
-# -- analyze rules -----------------------------------------------------
-
-
-def test_rules_listing_covers_both_families(capsys):
-    """The one catalogue left is the determinism family."""
-    assert main(["analyze", "rules", "--json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert [entry["rule"] for entry in payload] == [
-        f"DET{n:03d}" for n in range(1, 11)]
-    for entry in payload:
-        assert entry["title"] and entry["fixit"]
-
-
-def test_rules_text_output():
-    buf = io.StringIO()
-    assert run_rules(out=buf) == 0
-    text = buf.getvalue()
-    for rule in RULES:
-        assert rule.rule_id in text
-
-
-def test_docs_rule_tables_cannot_drift():
-    # docs/ANALYSIS.md (hand-written tables) and docs/API.md (generated
-    # by tools/gen_api.py from the same registry the CLI prints) must
-    # mention every registered rule.
-    analysis_md = (ROOT / "docs" / "ANALYSIS.md").read_text()
-    api_md = (ROOT / "docs" / "API.md").read_text()
-    for rule in RULES:
-        assert rule.rule_id in analysis_md, (
-            f"{rule.rule_id} missing from docs/ANALYSIS.md")
-        assert rule.rule_id in api_md, (
-            f"{rule.rule_id} missing from docs/API.md")
-
-
-# -- baseline pruning --------------------------------------------------
-
-
-def test_lint_prune_baseline_rewrites_and_is_idempotent(tmp_path):
-    target = tmp_path / "clean.py"
-    target.write_text("VALUE = 1\n")
-    bl = tmp_path / "baseline.json"
-    bl.write_text(json.dumps({
-        "comment": "keep me",
-        "entries": [{"rule": "DET001", "path": "gone.py", "scope": "f",
-                     "snippet": "time.time()",
-                     "justification": "code was deleted"}]}))
-    buf = io.StringIO()
-    rc = run_lint([str(target)], baseline_path=str(bl),
-                  prune_baseline=True, out=buf)
-    assert rc == 1
-    assert "pruned 1 stale baseline entry" in buf.getvalue()
-    payload = json.loads(bl.read_text())
-    assert payload["entries"] == []
-    assert payload["comment"] == "keep me"
-    # Idempotent re-run: nothing left to prune, gate is green.
-    rc = run_lint([str(target)], baseline_path=str(bl),
-                  prune_baseline=True, out=io.StringIO())
-    assert rc == 0
 
 
 # -- the chaos catalogue, checked at run time --------------------------

@@ -1,190 +1,404 @@
-"""Determinism sanitizer: rule fixtures, baseline, driver, CLI."""
+"""Determinism gates: the checks that replaced the retired DET rules.
 
-import io
+The reproduction promises that every artefact comes out byte-identical
+for every seed, every ``--jobs`` value and every cache tier.  That
+promise is held to the bytes the shipped program writes, not to how
+its source is spelled:
+
+* the goldens pin every artefact's JSON export and the trace of
+  ``faults`` (:func:`golden_drift`);
+* :func:`run_outputs` runs the program (every artefact exported, a
+  cached sweep, a drained service's report and verify, a trace) in
+  fresh interpreters, and :func:`differences` diffs what they wrote:
+  under another ``PYTHONHASHSEED`` and ``--jobs 2``, and with every
+  directory listing reversed;
+* :func:`unrooted_exceptions` walks every exception class in the
+  package for a :class:`~repro.errors.ReproError` root.
+
+Each DET rule whose hazard one of these catches keeps its test ids.
+The "positive fixture" is the package source with the rule's hazard
+planted at a realistic site (:data:`PLANTS`), and the replacing check
+must fail on it; the "negative fixture" is the source as shipped,
+which must pass.  DET005 (mutable default arguments) is retired
+without a replacement: its plant moved no output byte.
+"""
+
+from __future__ import annotations
+
 import json
+import os
 import pathlib
+import shutil
+import subprocess
+import sys
+from typing import NamedTuple
 
 import pytest
 
 import repro
-from repro.analysis.baseline import (
-    DEFAULT_BASELINE_PATH,
-    Baseline,
-    BaselineEntry,
-)
-from repro.analysis.linter import (
-    canonical_path,
-    lint_file,
-    lint_paths,
-    run_lint,
-)
-from repro.analysis.rules import RULES, RULES_BY_ID
-from repro.errors import ConfigurationError
+import repro.platform
 
-FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "analysis"
-ALL_RULE_IDS = [rule.rule_id for rule in RULES]
+SRC = pathlib.Path(repro.__file__).resolve().parent.parent
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
-# -- rule catalog ------------------------------------------------------
+class Variant(NamedTuple):
+    """How one fresh interpreter runs the program."""
+
+    hash_seed: int = 0
+    jobs: int = 1
+    reversed_listings: bool = False
 
 
-def test_catalog_has_at_least_ten_rules():
-    assert len(RULES) >= 10
-    assert len(RULES_BY_ID) == len(RULES)  # ids unique
-    for rule in RULES:
-        assert rule.rule_id.startswith("DET")
-        assert rule.title and rule.fixit
+BASE = Variant()
+#: The variants the shipped outputs are diffed against :data:`BASE`.
+VARIANTS = {"hash-seed-and-jobs": Variant(hash_seed=1, jobs=2),
+            "listing-order": Variant(reversed_listings=True)}
+
+#: Prepended to the child's script for ``reversed_listings``: every
+#: ``os.listdir``/``os.scandir`` (and so every ``pathlib`` iterdir and
+#: glob) yields its entries in reverse, checked on a temporary directory
+#: before the program runs.
+_REVERSE_LISTINGS = r'''
+import glob, os, pathlib, tempfile
+_listdir, _scandir = os.listdir, os.scandir
+
+class _Listing:
+    def __init__(self, entries):
+        self._entries = iter(entries)
+    def __iter__(self):
+        return self
+    def __next__(self):
+        return next(self._entries)
+    def __enter__(self):
+        return self
+    def __exit__(self, *exc):
+        return False
+    def close(self):
+        pass
+
+def _reversed_listdir(path="."):
+    return _listdir(path)[::-1]
+
+def _reversed_scandir(path="."):
+    with _scandir(path) as entries:
+        return _Listing(list(entries)[::-1])
+
+os.listdir, os.scandir = _reversed_listdir, _reversed_scandir
+# Classes that bound the originals when imported (pathlib's accessor
+# before 3.11, glob's globber from 3.13).
+for _cls in [*vars(glob).values(), *vars(pathlib).values()]:
+    for _name, _orig, _new in (("listdir", _listdir, _reversed_listdir),
+                               ("scandir", _scandir, _reversed_scandir)):
+        if isinstance(_cls, type) and getattr(_cls, _name, None) is _orig:
+            setattr(_cls, _name, staticmethod(_new))
+with tempfile.TemporaryDirectory() as _d:
+    for _name in "abc":
+        open(os.path.join(_d, _name), "w").close()
+    _want = _listdir(_d)[::-1]
+    assert [p.name for p in pathlib.Path(_d).iterdir()] == _want
+    assert [p.name for p in pathlib.Path(_d).glob("*")] == _want
+    assert [e.name for e in os.scandir(_d)] == _want
+'''
+
+#: Runs each ``(stdout file, argv)`` step through the CLI.
+_RUN_STEPS = r'''
+import contextlib, json, sys
+from repro.cli import main
+for out, argv in json.loads(sys.argv[1]):
+    with open(out, "w") as fh, contextlib.redirect_stdout(fh):
+        code = main(argv)
+    if code != 0:
+        sys.exit(f"repro {' '.join(argv)} exited {code}")
+'''
+
+EXPORT = [("export.out", ["export", "out"])]
+TRACE = [("trace.out", ["trace", "run", "faults", "--out", "trace.json",
+                        "--jsonl", "trace.jsonl"])]
+SERVICE = [
+    ("submit-run.out", ["submit", "spec.json", "--dir", "svc"]),
+    *[(f"submit-eq1-{seed}.out", ["submit", "--experiment", "eq1",
+                                  "--seed", str(seed), "--dir", "svc"])
+      for seed in range(4)],
+    ("serve.out", ["serve", "--drain", "--poll", "0.01", "--dir", "svc"]),
+    *[(f"report.{fmt}", ["service", "report", "--dir", "svc",
+                         "--format", fmt])
+      for fmt in ("json", "prom", "chrome")],
+    ("verify.json", ["service", "verify", "--dir", "svc"]),
+]
 
 
-# -- one positive + one negative fixture per rule ----------------------
+def sweep(jobs: int) -> list:
+    """fig5 and fig6 through the executor and a cold run cache."""
+    return [("sweep.out", ["experiment", "fig5", "fig6",
+                           "--jobs", str(jobs), "--cache-dir", "cache"])]
 
 
-@pytest.mark.parametrize("rule_id", ALL_RULE_IDS)
-def test_positive_fixture_triggers_exactly_its_rule(rule_id):
-    findings = lint_file(FIXTURES / f"{rule_id.lower()}_pos.py")
-    assert findings, f"{rule_id} positive fixture produced no findings"
-    assert {f.rule_id for f in findings} == {rule_id}
-    for f in findings:
-        assert f.snippet  # the offending source line is captured
-        assert f.line >= 1
+def everything(jobs: int) -> list:
+    return EXPORT + sweep(jobs) + SERVICE + TRACE
 
 
-@pytest.mark.parametrize("rule_id", ALL_RULE_IDS)
-def test_negative_fixture_is_clean(rule_id):
-    findings = lint_file(FIXTURES / f"{rule_id.lower()}_neg.py")
-    assert findings == []
+#: Outputs that name the worker process (``w<pid>``) that wrote them.
+VOLATILE = frozenset({"serve.out", "svc/journal.jsonl"})
 
 
-def test_finding_render_includes_fixit():
-    finding = lint_file(FIXTURES / "det001_pos.py")[0]
-    text = finding.render()
-    assert "DET001" in text
-    assert RULES_BY_ID["DET001"].fixit.split(";")[0] in text
+def run_outputs(tmp_path: pathlib.Path, variants: dict, steps,
+                src: pathlib.Path = SRC) -> dict:
+    """Run ``steps(variant.jobs)`` with the package under ``src``, one
+    fresh interpreter per variant (all at once); returns variant name
+    -> {path: bytes} of every file the run wrote, :data:`VOLATILE`
+    ones left out."""
+    spec = repro.platform.RunSpec(
+        platform=repro.platform.get_platform("ofp-default"), app="Milc",
+        n_nodes=64, n_runs=2, seed=3).to_json()
+    procs = {}
+    for name, variant in variants.items():
+        cwd = tmp_path / name
+        cwd.mkdir(parents=True)
+        (cwd / "spec.json").write_text(spec)
+        env = {key: value for key, value in os.environ.items()
+               if not key.startswith("REPRO_")}
+        env.update(PYTHONPATH=str(src),
+                   PYTHONHASHSEED=str(variant.hash_seed),
+                   REPRO_CACHE_DIR="cache")
+        script = (_REVERSE_LISTINGS if variant.reversed_listings else "") \
+            + _RUN_STEPS
+        procs[name] = subprocess.Popen(
+            [sys.executable, "-c", script, json.dumps(steps(variant.jobs))],
+            cwd=cwd, env=env, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True)
+    trees = {}
+    for name, proc in procs.items():
+        out, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, f"{name}: {out}{err}"
+        root = tmp_path / name
+        trees[name] = {
+            path.relative_to(root).as_posix(): path.read_bytes()
+            for path in sorted(root.rglob("*"))
+            if path.is_file() and path.name != "spec.json"
+            and path.relative_to(root).as_posix() not in VOLATILE}
+    return trees
 
 
-# -- baseline suppression ----------------------------------------------
+def differences(a: dict, b: dict) -> list:
+    """Every path one tree holds with other bytes, or alone."""
+    return sorted(path for path in set(a) | set(b)
+                  if a.get(path) != b.get(path))
 
 
-def _one_finding():
-    return lint_file(FIXTURES / "det005_pos.py")[0]
+def golden_drift(tree: dict) -> list:
+    """Every exported JSON artefact and trace in ``tree`` that differs
+    from its golden."""
+    goldens = {f"out/{path.name.split('_fast_')[0]}.json": path
+               for path in GOLDEN.glob("*_fast_seed0.json")}
+    goldens["trace.jsonl"] = GOLDEN / "trace_faults_seed0.jsonl"
+    return sorted(out for out, golden in goldens.items()
+                  if out in tree and tree[out] != golden.read_bytes())
 
 
-def test_baseline_suppresses_matching_finding():
-    f = _one_finding()
-    baseline = Baseline(entries=[BaselineEntry(
-        rule=f.rule_id, path=f.path, scope=f.scope, snippet=f.snippet,
-        justification="fixture")])
-    report = lint_paths([FIXTURES / "det005_pos.py"], baseline=baseline)
-    assert f.key() in {s.key() for s in report.suppressed}
-    assert all(g.key() != f.key() for g in report.findings)
-    assert report.stale_baseline == []
+#: The exception classes that stand outside ``ReproError`` on purpose:
+#: a chaos kill must behave like ``kill -9``, never a polite retry (its
+#: docstring says why), and the executor's partial-failure carrier
+#: never escapes ``execute_cells``; rooting it under ReproError would
+#: let ReproError handlers swallow pool plumbing.
+UNROOTED_BY_DESIGN = ("repro.errors.CrashInjected",
+                      "repro.perf.executor._PartialPoolFailure")
+
+_WALK = r'''
+import importlib, inspect, json, pkgutil
+import repro
+from repro.errors import ReproError
+unrooted = []
+for info in pkgutil.walk_packages(repro.__path__, "repro."):
+    if info.name == "repro.__main__":
+        continue
+    module = importlib.import_module(info.name)
+    for cls in vars(module).values():
+        if (inspect.isclass(cls) and issubclass(cls, BaseException)
+                and cls.__module__ == info.name
+                and not issubclass(cls, ReproError)):
+            unrooted.append(f"{info.name}.{cls.__qualname__}")
+print(json.dumps(sorted(unrooted)))
+'''
 
 
-def test_baseline_key_ignores_line_numbers():
-    f = _one_finding()
-    assert f.line not in f.key()
+def unrooted_exceptions(src: pathlib.Path = SRC) -> list:
+    """Every exception class a module of the package under ``src``
+    defines outside the ``repro.errors`` hierarchy, except
+    :data:`UNROOTED_BY_DESIGN`."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _WALK], env={**os.environ,
+                                            "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True, timeout=300)
+    return [name for name in json.loads(proc.stdout)
+            if name not in UNROOTED_BY_DESIGN]
 
 
-def test_stale_baseline_entries_are_reported():
-    baseline = Baseline(entries=[BaselineEntry(
-        rule="DET001", path="repro/nonexistent.py", scope="f",
-        snippet="time.time()", justification="stale")])
-    report = lint_paths([FIXTURES / "det001_neg.py"], baseline=baseline)
-    assert len(report.stale_baseline) == 1
-    assert "nonexistent" in report.render()
+def planted(tmp_path: pathlib.Path, edits) -> pathlib.Path:
+    """A copy of the package with each ``(module, old, new)`` edit
+    applied; returns the directory to put on ``PYTHONPATH``."""
+    root = tmp_path / "src"
+    shutil.copytree(SRC / "repro", root / "repro",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    for module, old, new in edits:
+        path = root / "repro" / module
+        text = path.read_text(encoding="utf-8")
+        assert text.count(old) == 1, f"plant site in {module} moved"
+        path.write_text(text.replace(old, new), encoding="utf-8")
+    return root
 
 
-def test_baseline_rejects_duplicates_and_unknown_rules(tmp_path):
-    entry = {"rule": "DET001", "path": "p.py", "scope": "s",
-             "snippet": "x", "justification": "j"}
-    dup = tmp_path / "dup.json"
-    dup.write_text(json.dumps({"entries": [entry, entry]}))
-    with pytest.raises(ConfigurationError):
-        Baseline.load(dup)
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"entries": [dict(entry, rule="NOPE")]}))
-    with pytest.raises(ConfigurationError):
-        Baseline.load(bad)
+# -- per-rule fixtures ----------------------------------------------------
 
 
-def test_prune_keeps_non_ascii_comment_bytes(tmp_path):
-    target = tmp_path / "clean.py"
-    target.write_text("VALUE = 1\n")
-    comment = "Intentional hits \u2014 see docs/ANALYSIS.md"
-    bl = tmp_path / "baseline.json"
-    bl.write_text(json.dumps({
-        "comment": comment,
-        "entries": [{"rule": "DET001", "path": "gone.py", "scope": "f",
-                     "snippet": "time.time()",
-                     "justification": "code was deleted"}]},
-        ensure_ascii=False), encoding="utf-8")
-    assert run_lint([str(target)], baseline_path=str(bl),
-                    prune_baseline=True, out=io.StringIO()) == 1
-    raw = bl.read_bytes()
-    assert json.dumps(comment, ensure_ascii=False).encode("utf-8") in raw
-    assert b"\\u2014" not in raw
+class Plant(NamedTuple):
+    """One rule's hazard and the check that catches it."""
+
+    #: ``(module, old, new)`` source edits that plant the hazard.
+    edits: list
+    #: ``jobs -> steps`` the check runs, or None for the exception walk.
+    steps: object
+    #: "golden", or the :data:`VARIANTS` entry diffed against BASE.
+    against: str = "golden"
 
 
-# -- the merged tree is the ultimate fixture ---------------------------
+def caught(plant: Plant, trees: dict, walk: list) -> list:
+    """What ``plant``'s check finds in the outputs ``trees`` (variant
+    name -> tree) and the exception ``walk``."""
+    if plant.steps is None:
+        return walk
+    if plant.against == "golden":
+        return golden_drift(trees["base"])
+    return differences(trees["base"], trees[plant.against])
 
 
-def test_repro_package_is_lint_clean_under_checked_in_baseline():
-    package_dir = pathlib.Path(repro.__file__).parent
-    baseline = Baseline.load(DEFAULT_BASELINE_PATH)
-    report = lint_paths([package_dir], baseline=baseline)
-    assert report.clean, report.render()
-    assert report.stale_baseline == [], report.render()
-    assert report.suppressed  # the baseline is load-bearing, not empty
+def _export(eid):
+    return lambda jobs: [("export.out", ["export", "out", eid])]
 
 
-def test_checked_in_baseline_entries_all_carry_justifications():
-    baseline = Baseline.load(DEFAULT_BASELINE_PATH)
-    for entry in baseline.entries:
-        assert entry.justification.strip()
+#: Each rule's hazard, planted at a realistic site.
+PLANTS = {
+    # A wall clock in a cell result: host overhead charged to each run.
+    "DET001": Plant([
+        ("runtime/runner.py", "import numpy as np\n",
+         "import time\n\nimport numpy as np\n"),
+        ("runtime/runner.py", "        rngs = [\n",
+         "        t0 = time.perf_counter()\n        rngs = [\n"),
+        ("runtime/runner.py", "            times.append(base * jitter)",
+         "            times.append(base * jitter"
+         " + (time.perf_counter() - t0))"),
+    ], _export("fig7")),
+    # The process-global numpy RNG in the barrier-delay sampler.
+    "DET002": Plant([
+        ("noise/sampler.py",
+         "                counts = rng.binomial(self.n_threads, p, "
+         "n_intervals)\n                pos = counts > 0",
+         "                counts = np.random.binomial(self.n_threads, p, "
+         "n_intervals)\n                pos = counts > 0"),
+    ], _export("fig7")),
+    # An unsorted directory listing in the results reader.
+    "DET003": Plant([
+        ("obs/fleet.py",
+         "entries = sorted(os.scandir(directory), key=lambda e: e.name)",
+         "entries = list(os.scandir(directory))"),
+    ], lambda jobs: SERVICE, "listing-order"),
+    # Set iteration in an exporter: the fleet report's job list.
+    "DET004": Plant([
+        ("obs/fleet.py",
+         "        for job_id in sorted(self._table):\n"
+         "            view = self._table[job_id]\n"
+         "            state = view.state.value\n",
+         "        for job_id in set(self._table):\n"
+         "            view = self._table[job_id]\n"
+         "            state = view.state.value\n"),
+    ], lambda jobs: SERVICE, "hash-seed-and-jobs"),
+    # A completion-order harvest in the parallel executor.
+    "DET006": Plant([
+        ("perf/executor.py",
+         "    for i, future in enumerate(futures):\n",
+         "    from concurrent.futures import as_completed\n"
+         "    for i, future in enumerate(as_completed(futures)):\n"),
+    ], sweep, "hash-seed-and-jobs"),
+    # A field dropped from FaultSpec.to_dict.
+    "DET007": Plant([
+        ("faults/spec.py",
+         "return {f.name: getattr(self, f.name) for f in fields(self)}",
+         "return {f.name: getattr(self, f.name) for f in fields(self)\n"
+         "                if f.name != \"ikc_drop_prob\"}"),
+    ], _export("faults")),
+    # An exception class outside the repro.errors hierarchy.
+    "DET008": Plant([
+        ("obs/fleet.py", "class FleetAggregator:",
+         "class SloRuleError(ValueError):\n"
+         "    \"\"\"An SLO file names a rule that does not exist.\"\"\"\n"
+         "\n\nclass FleetAggregator:"),
+    ], None),
+    # The salted builtin hash() as the run cache key.
+    "DET009": Plant([
+        ("perf/fingerprint.py",
+         "return hashlib.sha256(payload.encode(\"utf-8\")).hexdigest()",
+         "return f\"{hash(payload) & 0xFFFFFFFFFFFFFFFF:016x}\""),
+    ], lambda jobs: SERVICE, "hash-seed-and-jobs"),
+    # sort_keys dropped from the one canonical JSON form.
+    "DET010": Plant([
+        ("obs/export.py",
+         "return json.dumps(obj, sort_keys=True, separators=(\",\", \":\"))",
+         "return json.dumps(obj, separators=(\",\", \":\"))"),
+    ], lambda jobs: TRACE),
+}
 
 
-# -- driver behaviour --------------------------------------------------
+@pytest.fixture(scope="module")
+def shipped(tmp_path_factory):
+    """The shipped package's outputs under :data:`BASE` and every
+    :data:`VARIANTS` entry, and its exception walk."""
+    trees = run_outputs(tmp_path_factory.mktemp("shipped"),
+                        {"base": BASE, **VARIANTS}, everything)
+    return trees, unrooted_exceptions()
 
 
-def test_lint_report_is_deterministic():
-    targets = [FIXTURES]
-    first = lint_paths(targets).render()
-    second = lint_paths(targets).render()
-    assert first == second
+@pytest.mark.parametrize("rule_id", sorted(PLANTS))
+def test_positive_fixture_triggers_exactly_its_rule(rule_id, tmp_path):
+    """The hazard, planted, breaks the check that replaced the rule."""
+    plant = PLANTS[rule_id]
+    src = planted(tmp_path, plant.edits)
+    if plant.steps is None:
+        assert caught(plant, {}, unrooted_exceptions(src))
+        return
+    variants = {"base": BASE}
+    if plant.against != "golden":
+        variants[plant.against] = VARIANTS[plant.against]
+    assert caught(plant, run_outputs(tmp_path, variants, plant.steps, src),
+                  [])
 
 
-def test_canonical_path_is_machine_independent():
-    import repro.cli as cli_mod
-    p = canonical_path(pathlib.Path(cli_mod.__file__))
-    assert p == "repro/cli.py"
+@pytest.mark.parametrize("rule_id", sorted(PLANTS))
+def test_negative_fixture_is_clean(rule_id, shipped):
+    """The shipped package passes the check that replaced the rule."""
+    assert caught(PLANTS[rule_id], *shipped) == []
 
 
-def test_run_lint_exit_codes():
-    out = io.StringIO()
-    assert run_lint([str(FIXTURES / "det001_pos.py")], out=out) == 1
-    assert run_lint([str(FIXTURES / "det001_neg.py")], out=out) == 0
-    assert "DET001" in out.getvalue()
-
-
-def test_run_lint_json_format():
-    out = io.StringIO()
-    code = run_lint([str(FIXTURES / "det009_pos.py")],
-                    output_format="json", out=out)
-    assert code == 1
-    payload = json.loads(out.getvalue())
-    assert payload["files_checked"] == 1
-    assert {f["rule_id"] for f in payload["findings"]} == {"DET009"}
-
-
-def test_missing_target_raises():
-    with pytest.raises(ConfigurationError):
-        lint_paths(["does/not/exist"])
+def test_repro_package_is_lint_clean_under_checked_in_baseline(shipped):
+    """The shipped package, end to end: every golden holds, the outputs
+    are byte-identical under every variant, and every exception class
+    outside :data:`UNROOTED_BY_DESIGN` is a ReproError."""
+    trees, walk = shipped
+    assert golden_drift(trees["base"]) == []
+    # Every artefact, the cached sweep, the service and the trace ran.
+    assert {"out/fig4.json", "sweep.out", "report.json", "verify.json",
+            "trace.jsonl"} <= set(trees["base"])
+    assert any(path.startswith("cache/") for path in trees["base"])
+    assert any(path.startswith("svc/cache/") for path in trees["base"])
+    for name in VARIANTS:
+        assert differences(trees["base"], trees[name]) == [], name
+    assert walk == []
 
 
 def test_cli_analyze_lint(capsys):
+    """The AST linter is gone: ``repro analyze`` is an invalid choice."""
     from repro.cli import main
-    assert main(["analyze", "lint",
-                 str(FIXTURES / "det003_pos.py")]) == 1
-    assert "DET003" in capsys.readouterr().out
-    assert main(["analyze", "lint",
-                 str(FIXTURES / "det003_neg.py")]) == 0
+
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "lint", "src/repro"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'analyze'" in capsys.readouterr().err

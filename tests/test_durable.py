@@ -17,7 +17,6 @@ import pathlib
 import pytest
 
 import repro
-from repro.analysis.rules import import_aliases, qualname
 from repro.chaos import ChaosInjector, ChaosSpec, SitePolicy, chaos_active
 from repro.durable import (
     SYSCALLS,
@@ -39,6 +38,38 @@ def _one_site(site, action="kill"):
 
 
 # -- containment: the syscalls stay in repro/durable.py -----------------
+
+
+def import_aliases(tree: ast.AST) -> "dict[str, str]":
+    """local name -> fully-qualified origin, from every import in
+    ``tree`` (``import numpy as np`` maps ``np`` to ``numpy``; ``from
+    os import write`` maps ``write`` to ``os.write``)."""
+    aliases: dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                local = alias.asname or alias.name.split(".", 1)[0]
+                aliases[local] = (alias.name if alias.asname
+                                  else alias.name.split(".", 1)[0])
+        elif isinstance(node, ast.ImportFrom):
+            module = ("." * node.level) + (node.module or "")
+            for alias in node.names:
+                local = alias.asname or alias.name
+                aliases[local] = f"{module}.{alias.name}"
+    return aliases
+
+
+def qualname(node: ast.AST, aliases: "dict[str, str]") -> str:
+    """Dotted name of an expression, import aliases resolved
+    (``np.random.seed`` -> ``numpy.random.seed``); "" when the
+    expression is not a plain dotted name."""
+    if isinstance(node, ast.Name):
+        return aliases.get(node.id, node.id)
+    if isinstance(node, ast.Attribute):
+        base = qualname(node.value, aliases)
+        return f"{base}.{node.attr}" if base else ""
+    return ""
+
 
 #: Module (relative to the package) -> the durability syscalls it may
 #: issue.  ChaosInjector.write performs the (possibly torn) write itself.

@@ -1,13 +1,11 @@
 """Each entry point imports only what it runs.
 
-``repro.analysis`` (the determinism linter) serves ``repro analyze``
-and the tests alone; an experiment, the engine and the service must
-not pay its import.  ``repro`` and ``repro.platform`` resolve their
+``repro``, ``repro.platform`` and ``repro.apps`` resolve their
 re-exports on first access, so ``repro --help`` loads no numpy, the
-service's read-only verbs load none of the paper model, and no verb
-that never samples a distribution loads ``scipy``.  Each case runs in
-a fresh interpreter so nothing the suite imported earlier can hide a
-load.
+service's read-only verbs load none of the paper model, submitting or
+verifying a job loads no noise model, and no verb that never samples
+a distribution loads ``scipy``.  Each case runs in a fresh interpreter
+so nothing the suite imported earlier can hide a load.
 """
 
 from __future__ import annotations
@@ -21,22 +19,13 @@ import sys
 import pytest
 
 import repro
+import repro.apps
 import repro.platform
 
 SRC = pathlib.Path(repro.__file__).parent.parent
 
 #: The model subpackages a service read never needs.
 MODEL = ("apps", "experiments", "runtime", "mckernel", "net", "noise")
-
-CASES = {
-    "import-engine": "import repro.engine",
-    "run-experiment": (
-        "from repro.experiments.registry import run_experiment\n"
-        "run_experiment('eq1', fast=True)"),
-    "service-status": (
-        "from repro.cli import main\n"
-        "assert main(['service', 'status', '--dir', 'svc']) == 0"),
-}
 
 
 def _loaded(cwd: pathlib.Path, code: str) -> list[str]:
@@ -78,11 +67,6 @@ def drained(tmp_path_factory) -> pathlib.Path:
     return root
 
 
-@pytest.mark.parametrize("code", CASES.values(), ids=CASES.keys())
-def test_runtime_path_loads_no_analysis_module(tmp_path, code):
-    assert _under(_loaded(tmp_path, code), "repro.analysis") == []
-
-
 def test_help_loads_only_the_cli(tmp_path):
     code = ("from repro.cli import main\n"
             "try:\n"
@@ -107,6 +91,7 @@ def test_service_verify_loads_no_scipy(drained):
     modules = _loaded(drained, _cli("service", "verify",
                                     "--dir", str(drained / "svc")))
     assert _under(modules, "scipy") == []
+    assert _under(modules, "repro.noise", "repro.apps.fwq") == []
 
 
 @pytest.mark.parametrize("argv", [("spec.json",), ("--experiment", "fig1")],
@@ -115,10 +100,11 @@ def test_submit_loads_no_scipy(drained, tmp_path, argv):
     modules = _loaded(drained, _cli("submit", *argv,
                                     "--dir", str(tmp_path / "svc")))
     assert _under(modules, "scipy") == []
+    assert _under(modules, "repro.noise", "repro.apps.fwq") == []
 
 
-@pytest.mark.parametrize("package", [repro, repro.platform],
-                         ids=["repro", "repro.platform"])
+@pytest.mark.parametrize("package", [repro, repro.platform, repro.apps],
+                         ids=["repro", "repro.platform", "repro.apps"])
 def test_every_lazy_export_resolves_and_is_listed(package):
     listed = dir(package)
     for name in package.__all__:

@@ -609,22 +609,3 @@ def test_module_entrypoint_serves(tmp_path):
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert queue.drained()
-
-
-# -- determinism lint (satellite: DET coverage) -------------------------
-
-
-def test_service_package_is_det_clean_without_baseline():
-    """Journal iteration, job ids, leases: no wall clocks, no unsorted
-    fs enumeration, no baseline entries needed anywhere in the service
-    or engine layers."""
-    import pathlib
-
-    from repro.analysis.linter import lint_paths
-
-    src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    report = lint_paths([src / "repro" / "service",
-                         src / "repro" / "engine.py"])
-    # No baseline passed: every finding would survive — there are none.
-    assert report.findings == []
-    assert report.files_checked >= 7

@@ -12,9 +12,13 @@ package journals (the check that replaced crash rule CC009).
 from __future__ import annotations
 
 import ast
+import contextlib
+import io
+import json
 import os
 import pathlib
 import re
+import shutil
 import tempfile
 
 import pytest
@@ -27,7 +31,9 @@ from repro.durable import AppendLog
 from repro.errors import JournalCorruptionError
 from repro.obs.export import canonical_json
 from repro.obs.fleet import ROLLUP_TYPES, FleetAggregator
-from repro.service import JobQueue, JobSpec, JobState, verify_service
+from repro.platform import RunSpec, get_platform
+from repro.service import (JobQueue, JobSpec, JobState, Worker,
+                           verify_service)
 from repro.service.journal import FOLD
 
 PACKAGE_DIR = pathlib.Path(repro.__file__).resolve().parent
@@ -282,10 +288,10 @@ def fold_coverage_problems(tmp_path, monkeypatch=None):
                  for t in sorted(set(FOLD) - set(ROLLUP_TYPES))]
     problems += [f"rollups count {t!r}, which is not a FOLD key"
                  for t in sorted(set(ROLLUP_TYPES) - set(FOLD))]
-    submit = {"type": "submit", "job": "j000000-a", "kind": "run"}
+    submit = {"type": "submit", "job": "j000000-000000000a", "kind": "run"}
     _rollups(tmp_path / "base", [submit])
     for rtype in sorted(FOLD):
-        record = {"type": rtype, "job": "j000000-a", "worker": "w",
+        record = {"type": rtype, "job": "j000000-000000000a", "worker": "w",
                   "attempt": 0, "error": "e"}
         try:
             _rollups(tmp_path / rtype, [submit, record])
@@ -308,9 +314,11 @@ def test_every_journaled_type_folds_everywhere(tmp_path):
 
 #: Parseable journal lines the fold must refuse, with what it says.
 BAD_RECORDS = [
-    (b'{"job":"j000000-x","type":"bogus"}', "unknown record type 'bogus'"),
-    (b'{"job":"j000000-x","type":["x"]}', r"unknown record type \['x'\]"),
-    (b'{"attempt":1e999,"job":"j000000-x","type":"claim"}',
+    (b'{"job":"j000000-0123456789","type":"bogus"}',
+     "unknown record type 'bogus'"),
+    (b'{"job":"j000000-0123456789","type":["x"]}',
+     r"unknown record type \['x'\]"),
+    (b'{"attempt":1e999,"job":"j000000-0123456789","type":"claim"}',
      "malformed 'claim' record"),
 ]
 BAD_IDS = ["unknown-type", "list-type", "overflowing-attempt"]
@@ -345,3 +353,95 @@ def test_unknown_record_type_exits_2_through_the_cli(tmp_path, capsys,
     assert "Traceback" not in err
     assert main(["service", "verify", "--dir", svc]) == 1
     assert "journal-corrupt" in capsys.readouterr().out
+
+
+# -- the readers over a damaged journal --------------------------------
+
+
+@pytest.fixture(scope="module")
+def drained(tmp_path_factory):
+    """A service dir that drained one run job and one eq1 job."""
+    root = tmp_path_factory.mktemp("drained") / "svc"
+    queue = _queue(root)
+    queue.submit(JobSpec.for_specs([RunSpec(
+        platform=get_platform("ofp-default"), app="Milc", n_nodes=64,
+        n_runs=2, seed=3)]))
+    queue.submit(JobSpec.for_experiment("eq1"))
+    Worker(queue, worker_id="w0", poll_interval=0.0, drain=True).run()
+    assert queue.drained()
+    return root
+
+
+def _with_journal(drained, root, lines):
+    """A copy of ``drained`` at ``root`` whose journal is ``lines``."""
+    shutil.copytree(drained, root)
+    (root / "journal.jsonl").write_bytes(b"".join(lines))
+    return root
+
+
+def _readers(root):
+    """The exit codes of ``status``, ``service verify`` and ``service
+    report`` over ``root``, with what they printed; an exception
+    escapes."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        codes = [main([*argv, "--dir", str(root)]) for argv in (
+            ["status"], ["service", "verify"], ["service", "report"])]
+    return codes, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("job_id", [
+    "", "j000000-0123456789\x00", "../j000000-0123456789",
+    "j000000-0123456789/..", "j00000-0123456789", "j000000-0123456789a",
+    "j000000-0123456789\n", "j000000-ABCDEF0123", 7])
+def test_fold_refuses_an_id_job_id_for_cannot_make(tmp_path, job_id):
+    queue = _busy_queue(tmp_path / "svc")
+    queue.journal.append({"type": "submit", "job": job_id, "kind": "run"})
+    with pytest.raises(JournalCorruptionError,
+                       match=re.escape(f"bad job id {job_id!r}")):
+        queue.table()
+
+
+def test_nul_in_a_done_job_id_is_corruption_not_a_traceback(drained,
+                                                            tmp_path):
+    lines = []
+    for line in (drained / "journal.jsonl").read_bytes().splitlines():
+        record = json.loads(line)
+        if record["type"] == "done":
+            record["job"] += "\x00"
+        lines.append((canonical_json(record) + "\n").encode())
+    codes, out, err = _readers(_with_journal(drained, tmp_path / "svc",
+                                             lines))
+    assert codes == [2, 1, 2]
+    assert "bad job id" in err and "journal-corrupt" in out
+    assert "\\u0000" not in out  # verify names no results/<id>\0 path
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_readers_survive_any_field_value_and_interior_bytes(drained, data):
+    """Any JSON value in any record field, or any bytes in place of an
+    interior line: each reader exits 0, 1 or 2, never a traceback."""
+    lines = (drained / "journal.jsonl").read_bytes().splitlines(
+        keepends=True)
+    fields = sorted({key for line in lines for key in json.loads(line)})
+    index = data.draw(st.integers(0, len(lines) - 2), label="line")
+    if data.draw(st.booleans(), label="bytes"):
+        lines[index] = data.draw(st.binary(max_size=40)) + b"\n"
+    else:
+        record = json.loads(lines[index])
+        record[data.draw(st.sampled_from(fields))] = data.draw(_JSON)
+        lines[index] = (canonical_json(record) + "\n").encode()
+    with tempfile.TemporaryDirectory() as tmp:
+        codes, _, err = _readers(_with_journal(
+            drained, pathlib.Path(tmp) / "svc", lines))
+    assert set(codes) <= {0, 1, 2}, err
+    assert "Traceback" not in err

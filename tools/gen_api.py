@@ -27,7 +27,6 @@ PACKAGES = [
     "repro.chaos",
     "repro.perf",
     "repro.obs",
-    "repro.analysis",
 ]
 
 # Hand-written prose appended after the generated tables, so a
@@ -196,26 +195,6 @@ def first_line(obj) -> str:
     return doc.splitlines()[0] if doc else "(undocumented)"
 
 
-def rules_section() -> "list[str]":
-    """The static-analysis rule table, generated from the same
-    registry ``repro analyze rules`` prints so it cannot drift."""
-    from repro.analysis.rules import RULES
-
-    lines = [
-        "## Static-analysis rules",
-        "",
-        "The determinism rules `repro analyze lint` runs "
-        "(`repro analyze rules --json` is the same catalogue as JSON).",
-        "",
-        "| rule | title |",
-        "|---|---|",
-    ]
-    for rule in RULES:
-        lines.append(f"| `{rule.rule_id}` | {rule.title} |")
-    lines.append("")
-    return lines
-
-
 def main() -> None:
     lines = [
         "# API reference",
@@ -254,7 +233,6 @@ def main() -> None:
         lines.append("|---|---|---|")
         lines.extend(rows)
         lines.append("")
-    lines.extend(rules_section())
     lines.append(PERFORMANCE_SECTION)
     out = pathlib.Path(__file__).resolve().parent.parent / "docs" / "API.md"
     out.parent.mkdir(exist_ok=True)
