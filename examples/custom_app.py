@@ -44,10 +44,7 @@ def graph_analytics_profile() -> WorkloadProfile:
         locality=0.9,              # poor reuse
         init=InitPhase(compute=2.0, io_syscalls=500,
                        reg_count=32, reg_bytes_each=mib(8)),
-        geometry={
-            "oakforest": RankGeometry(16, 16),
-            "fugaku": RankGeometry(4, 12),
-        },
+        geometry={"x86_64": RankGeometry(16, 16)},
         variability=0.015,
     )
 

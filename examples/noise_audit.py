@@ -81,9 +81,7 @@ def main() -> None:
         ("stop TCS PMU reads per job", dict(stop_pmu_reads=True)),
         ("RHEL TLB flush patch", dict(
             tlb_flush_mode=fugaku_production().tlb_flush_mode)),
-        ("hugeTLBfs + overcommit", dict(
-            large_pages=LargePagePolicy.HUGETLBFS,
-            hugetlb_overcommit=True, charge_surplus_hugetlb=True)),
+        ("hugeTLBfs", dict(large_pages=LargePagePolicy.HUGETLBFS)),
     ]
     tuning = untuned()
     print("Step 3 — applying countermeasures cumulatively:")
@@ -125,11 +123,11 @@ def main() -> None:
 
     # Step 6: the node state an operator would spot-check.
     print("\nStep 6 — configuration spot checks on the tuned node:")
-    app_cpus = prod.cgroup_app.cpuset.cpus
+    app_cpus = prod.app_cpu_ids()
     checks = {
         "nohz_full": prod.tuning.nohz_full,
         "app cpuset": f"{len(app_cpus)} CPUs, {min(app_cpus)}-{max(app_cpus)}",
-        "system cpuset": sorted(prod.cgroup_system.cpuset.cpus),
+        "system cpuset": prod.system_cpu_ids(),
         "large pages": prod.tuning.large_pages.value,
         "app-core interference": [t.name for t in
                                   prod.noise_tasks_on_app_cores()],

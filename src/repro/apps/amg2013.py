@@ -30,6 +30,6 @@ def profile() -> WorkloadProfile:
         locality=0.98,
         init=InitPhase(compute=2.0, io_syscalls=200,
                        reg_count=64, reg_bytes_each=mib(4)),
-        geometry={"oakforest": RankGeometry(16, 16)},
+        geometry={"x86_64": RankGeometry(16, 16)},
         variability=0.008,
     )

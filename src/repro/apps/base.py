@@ -99,10 +99,11 @@ class WorkloadProfile:
     #: Memory-access locality in [0, 1) for the TLB miss model.
     locality: float = 0.9
     init: InitPhase = field(default_factory=InitPhase)
-    #: Platform geometries keyed by machine name fragment ("ofp",
-    #: "fugaku"); see :func:`geometry_for`.
+    #: Platform geometries keyed by node architecture (``"x86_64"``
+    #: for OFP's KNL, ``"aarch64"`` for the A64FX machines); see
+    #: :func:`geometry_for`.
     geometry: dict = field(default_factory=dict)
-    #: Per-platform churn overrides (machine name fragment -> bytes at
+    #: Per-architecture churn overrides (node arch -> bytes at
     #: reference_nodes).  The paper's codes have platform-specific
     #: versions with different allocation behaviour (§6.2): GeoFEM's
     #: OFP-optimised build reuses work arrays, while its Fugaku port
@@ -143,23 +144,15 @@ class WorkloadProfile:
         the per-rank volume."""
         return max(64, int(self.msg_bytes * self._shrink(n_nodes) ** (2.0 / 3.0)))
 
-    def churn_bytes_at(self, n_nodes: int, machine_name: str = "") -> int:
-        base = self.churn_bytes
-        lname = machine_name.lower()
-        for key, value in self.churn_override.items():
-            if key in lname:
-                base = value
-                break
+    def churn_bytes_at(self, n_nodes: int, arch: str = "") -> int:
+        base = self.churn_override.get(arch, self.churn_bytes)
         return int(base * self._shrink(n_nodes))
 
     def working_set_at(self, n_nodes: int) -> int:
         return max(4096, int(self.working_set * self._shrink(n_nodes)))
 
-    def geometry_for(self, machine_name: str) -> RankGeometry:
-        """Geometry for a machine, matched by substring key (defaults to
-        4 ranks x 12 threads, the Fugaku convention)."""
-        lname = machine_name.lower()
-        for key, geo in self.geometry.items():
-            if key in lname:
-                return geo
-        return RankGeometry(ranks_per_node=4, threads_per_rank=12)
+    def geometry_for(self, arch: str) -> RankGeometry:
+        """Geometry on a node architecture (defaults to 4 ranks x 12
+        threads, the Fugaku convention)."""
+        return self.geometry.get(
+            arch, RankGeometry(ranks_per_node=4, threads_per_rank=12))

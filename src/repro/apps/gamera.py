@@ -49,10 +49,6 @@ def profile() -> WorkloadProfile:
             reg_bytes_each=mib(16),
             reg_repeats=6,
         ),
-        geometry={
-            "oakforest": RankGeometry(8, 8),
-            "fugaku": RankGeometry(4, 12),
-            "a64fx": RankGeometry(4, 12),
-        },
+        geometry={"x86_64": RankGeometry(8, 8)},
         variability=0.012,
     )

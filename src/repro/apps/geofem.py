@@ -34,16 +34,12 @@ def profile() -> WorkloadProfile:
         # The OFP-optimised build reuses its work arrays (no churn); the
         # Fugaku port reallocates preconditioner arrays per solver pass.
         churn_bytes=0,
-        churn_override={"fugaku": mib(32), "a64fx": mib(32)},
+        churn_override={"aarch64": mib(32)},
         working_set=mib(280),
         refs_per_second=2.0e7,
         locality=0.98,
         init=InitPhase(compute=3.0, io_syscalls=400,
                        reg_count=96, reg_bytes_each=mib(4)),
-        geometry={
-            "oakforest": RankGeometry(16, 8),
-            "fugaku": RankGeometry(4, 12),
-            "a64fx": RankGeometry(4, 12),
-        },
+        geometry={"x86_64": RankGeometry(16, 8)},
         variability=0.025,
     )

@@ -37,10 +37,6 @@ def profile() -> WorkloadProfile:
         locality=0.985,
         init=InitPhase(compute=1.0, io_syscalls=80,
                        reg_count=64, reg_bytes_each=mib(6)),
-        geometry={
-            "oakforest": RankGeometry(4, 32),
-            "fugaku": RankGeometry(4, 12),
-            "a64fx": RankGeometry(4, 12),
-        },
+        geometry={"x86_64": RankGeometry(4, 32)},
         variability=0.006,
     )

@@ -33,6 +33,6 @@ def profile() -> WorkloadProfile:
         locality=0.98,
         init=InitPhase(compute=1.0, io_syscalls=60,
                        reg_count=32, reg_bytes_each=mib(4)),
-        geometry={"oakforest": RankGeometry(8, 32)},
+        geometry={"x86_64": RankGeometry(8, 32)},
         variability=0.01,
     )

@@ -29,6 +29,6 @@ def profile() -> WorkloadProfile:
         locality=0.98,
         init=InitPhase(compute=1.5, io_syscalls=120,
                        reg_count=48, reg_bytes_each=mib(8)),
-        geometry={"oakforest": RankGeometry(16, 16)},
+        geometry={"x86_64": RankGeometry(16, 16)},
         variability=0.008,
     )

@@ -9,9 +9,8 @@ declarative:
 * :class:`FaultSpec` — a failure environment as data (per-node MTBF,
   OOM/proxy-crash/daemon-stall rates, IKC drop probability) plus the
   tolerance policy (bounded retries, exponential backoff, periodic
-  checkpointing).  JSON-round-trippable; an optional field of
-  :class:`~repro.platform.spec.PlatformSpec`, cache-keyed only when
-  active.
+  checkpointing).  JSON-round-trippable, and handed straight to the
+  batch scheduler rather than carried by a platform spec.
 * :class:`FaultInjector` — samples :class:`FaultEvent` schedules from
   named RNG streams; same seed + same spec ⇒ identical schedule on any
   process.

@@ -11,11 +11,10 @@ daemon-stall rates — plus the tolerance policy that reacts to it
 checkpointing).
 
 Like every other spec in this package family it is frozen, validated
-at construction, and JSON-round-trippable; as an optional field of
-:class:`~repro.platform.spec.PlatformSpec` it is part of the canonical
-JSON (and therefore of the run-cache key) *only when active*, so every
-pre-existing spec, fingerprint and golden output is byte-identical to
-the fault-free world.
+at construction, and JSON-round-trippable.  It is not part of a
+:class:`~repro.platform.spec.PlatformSpec`: the one model that reacts
+to faults, :class:`~repro.runtime.batchsched.BatchScheduler`, takes
+it directly, so a fault scenario never enters a run-cache key.
 
 Rates are expressed per node-hour so that failure exposure scales with
 job size × walltime, the way real cluster reliability budgets are
@@ -97,13 +96,13 @@ class FaultSpec:
     def __post_init__(self) -> None:
         for name, dotted in _NUMBER_FIELDS:
             value = float(check(getattr(self, name), "number",
-                                "platform spec", dotted))
+                                "fault spec", dotted))
             if value < 0:
                 raise ConfigurationError(
                     f"{dotted}: must be >= 0, got {value!r}")
             object.__setattr__(self, name, value)
         for name, dotted in _INTEGER_FIELDS:
-            value = check(getattr(self, name), "integer", "platform spec",
+            value = check(getattr(self, name), "integer", "fault spec",
                           dotted)
             if value < 0:
                 raise ConfigurationError(
@@ -148,7 +147,7 @@ class FaultSpec:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "FaultSpec":
-        document(payload, "platform spec", _FIELDS, name="faults")
+        document(payload, "fault spec", _FIELDS, name="faults")
         return cls(**payload)
 
     def to_json(self, indent: int | None = None) -> str:

@@ -10,13 +10,7 @@ from .machines import (
     fugaku_racks,
     oakforest_pacs,
 )
-from .numa import (
-    MemoryKind,
-    NumaDomain,
-    NumaLayout,
-    NumaRole,
-    split_virtual_numa,
-)
+from .numa import MemoryKind, NumaDomain, NumaLayout, NumaRole
 from .tlb import A64FX_TLB, KNL_TLB, TlbFlushMode, TlbModel, TlbSpec
 from .topology import CpuTopology, LogicalCpu
 
@@ -36,7 +30,6 @@ __all__ = [
     "NumaDomain",
     "NumaLayout",
     "NumaRole",
-    "split_virtual_numa",
     "TlbSpec",
     "TlbModel",
     "TlbFlushMode",

@@ -1,15 +1,9 @@
-"""NUMA domains and the Fugaku *virtual NUMA node* technique (§4.1.2).
+"""NUMA domains of one node.
 
-Two layers are modelled:
-
-* **Physical NUMA**: memory controllers with distinct kinds and sizes
-  (MCDRAM vs DDR4 on KNL in flat mode; four HBM2 stacks, one per CMG,
-  on A64FX).
-* **Virtual NUMA nodes**: Fugaku firmware splits the physical address
-  space into *system* and *application* areas exposed as separate NUMA
-  domains, so that non-application allocations can never fragment
-  application memory.  We model this as a partitioning of each physical
-  domain into sub-domains tagged with a :class:`NumaRole`.
+Memory controllers have distinct kinds and sizes (MCDRAM vs DDR4 on KNL
+in flat mode; four HBM2 stacks, one per CMG, on A64FX).  Each domain
+carries a :class:`NumaRole` saying who may allocate from it; the
+application-visible capacity sizes the kernels' buddy allocators.
 """
 
 from __future__ import annotations
@@ -87,9 +81,6 @@ class NumaLayout:
     def total_bytes(self) -> int:
         return sum(d.size_bytes for d in self.domains)
 
-    def by_role(self, role: NumaRole) -> list[NumaDomain]:
-        return [d for d in self.domains if d.role == role]
-
     def application_bytes(self) -> int:
         """Memory usable by applications (APPLICATION + GENERAL roles)."""
         return sum(
@@ -110,50 +101,3 @@ class NumaLayout:
         raise ConfigurationError(
             f"no NUMA domain local to group {group_id} with role {role}"
         )
-
-
-def split_virtual_numa(
-    domains: Sequence[NumaDomain], system_fraction: float
-) -> NumaLayout:
-    """Apply the Fugaku virtual-NUMA firmware split to a physical layout.
-
-    Every GENERAL domain is replaced by a SYSTEM sub-domain holding
-    ``system_fraction`` of its capacity and an APPLICATION sub-domain
-    holding the rest.  Node ids are renumbered densely with application
-    domains first (mirroring Fugaku, where applications see nodes 4-7).
-    """
-    if not 0.0 < system_fraction < 1.0:
-        raise ConfigurationError(
-            f"system_fraction must be in (0,1), got {system_fraction}"
-        )
-    app: list[NumaDomain] = []
-    sys_: list[NumaDomain] = []
-    for d in domains:
-        if d.role != NumaRole.GENERAL:
-            raise ConfigurationError(
-                "virtual NUMA split applies to GENERAL domains only"
-            )
-        sys_bytes = int(d.size_bytes * system_fraction)
-        app_bytes = d.size_bytes - sys_bytes
-        app.append(
-            NumaDomain(
-                node_id=-1, kind=d.kind, size_bytes=app_bytes,
-                role=NumaRole.APPLICATION, group_id=d.group_id,
-                bandwidth=d.bandwidth, latency=d.latency,
-            )
-        )
-        sys_.append(
-            NumaDomain(
-                node_id=-1, kind=d.kind, size_bytes=sys_bytes,
-                role=NumaRole.SYSTEM, group_id=d.group_id,
-                bandwidth=d.bandwidth, latency=d.latency,
-            )
-        )
-    renumbered = [
-        NumaDomain(
-            node_id=i, kind=d.kind, size_bytes=d.size_bytes, role=d.role,
-            group_id=d.group_id, bandwidth=d.bandwidth, latency=d.latency,
-        )
-        for i, d in enumerate(app + sys_)
-    ]
-    return NumaLayout(renumbered)

@@ -1,12 +1,11 @@
-"""Linux kernel model: memory management, cgroups, scheduling, tasks."""
+"""Linux kernel model: memory management, scheduling, tasks."""
 
 from .base import OsInstance
 from .buddy import BlockRange, BuddyAllocator
-from .cgroup import Cgroup, make_fugaku_hierarchy
 from .costmodel import CostModel, LINUX_COSTS, MCKERNEL_COSTS
 from .ftrace import ActorSummary, Ftrace, TraceEvent
 from .irq import IrqDescriptor, IrqRouter, default_irq_table
-from .linux import LinuxKernel, SYSTEM_NUMA_FRACTION
+from .linux import LinuxKernel
 from .pagetable import (
     AARCH64_64K,
     X86_4K,
@@ -38,8 +37,6 @@ __all__ = [
     "OsInstance",
     "BlockRange",
     "BuddyAllocator",
-    "Cgroup",
-    "make_fugaku_hierarchy",
     "CostModel",
     "LINUX_COSTS",
     "MCKERNEL_COSTS",
@@ -50,7 +47,6 @@ __all__ = [
     "IrqRouter",
     "default_irq_table",
     "LinuxKernel",
-    "SYSTEM_NUMA_FRACTION",
     "AARCH64_64K",
     "X86_4K",
     "AddressSpace",

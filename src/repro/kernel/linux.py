@@ -1,10 +1,9 @@
 """The Linux kernel personality: composition of all §4 machinery.
 
 A :class:`LinuxKernel` boots a tuning configuration onto a node design:
-it builds the cgroup hierarchy, applies the virtual-NUMA split, sizes
-the buddy allocators, routes IRQs, places the system task population,
-and exposes the :class:`OsInstance` interface the runtime layer
-consumes.
+it partitions the CPUs, sizes the buddy allocators, routes IRQs, places
+the system task population, and exposes the :class:`OsInstance`
+interface the runtime layer consumes.
 """
 
 from __future__ import annotations
@@ -14,11 +13,9 @@ from typing import Optional
 from ..errors import ConfigurationError
 from ..hardware.cache import SectorCache
 from ..hardware.machines import NodeSpec
-from ..hardware.numa import NumaLayout, NumaRole, split_virtual_numa
 from ..hardware.tlb import TlbModel
 from .base import OsInstance
 from .buddy import BuddyAllocator
-from .cgroup import Cgroup, make_fugaku_hierarchy
 from .costmodel import CostModel, LINUX_COSTS
 from .irq import IrqRouter, default_irq_table
 from .pagetable import (
@@ -35,10 +32,6 @@ from .tasks import (
     standard_task_population,
 )
 from .tuning import LargePagePolicy, LinuxTuning
-
-#: Fraction of each NUMA domain the firmware assigns to the system area
-#: under virtual NUMA nodes (Fugaku reserves a small system slice).
-SYSTEM_NUMA_FRACTION = 0.125
 
 
 class LinuxKernel(OsInstance):
@@ -87,43 +80,6 @@ class LinuxKernel(OsInstance):
                 self._assistant_cpus = []
                 self._app_cpus = all_cpus
 
-        # -- memory layout -------------------------------------------------
-        if tuning.virtual_numa:
-            self.numa: NumaLayout = split_virtual_numa(
-                node.numa.domains, SYSTEM_NUMA_FRACTION
-            )
-        else:
-            self.numa = node.numa
-
-        # -- cgroups ----------------------------------------------------------
-        self.cgroup_root: Optional[Cgroup] = None
-        self.cgroup_system: Optional[Cgroup] = None
-        self.cgroup_app: Optional[Cgroup] = None
-        if tuning.cgroup_cpu_isolation:
-            app_mems = [
-                d.node_id
-                for d in self.numa
-                if d.role in (NumaRole.APPLICATION, NumaRole.GENERAL)
-            ]
-            sys_mems = [
-                d.node_id for d in self.numa if d.role == NumaRole.SYSTEM
-            ] or app_mems
-            sys_cpus = self._assistant_cpus or self._app_cpus
-            self.cgroup_root, self.cgroup_system, self.cgroup_app = (
-                make_fugaku_hierarchy(
-                    all_cpus=[c.cpu_id for c in topo],
-                    assistant_cpus=sys_cpus,
-                    app_cpus=self._app_cpus,
-                    system_mems=sys_mems,
-                    app_mems=app_mems,
-                    app_memory_limit=sum(
-                        self.numa.domain(m).size_bytes for m in app_mems
-                    ),
-                )
-            )
-            if not tuning.charge_surplus_hugetlb and self.cgroup_app:
-                self.cgroup_app.memory.charge_surplus_hugetlb = False
-
         # -- IRQs -----------------------------------------------------------
         self.irq = default_irq_table([c.cpu_id for c in topo], interconnect)
         if tuning.irq_to_assistant and self._assistant_cpus:
@@ -167,13 +123,6 @@ class LinuxKernel(OsInstance):
         geo = self.app_page_geometry()
         return PageKind.CONTIG if geo.contig_factor else PageKind.HUGE
 
-    def _app_bytes(self) -> int:
-        return sum(
-            d.size_bytes
-            for d in self.numa
-            if d.role in (NumaRole.APPLICATION, NumaRole.GENERAL)
-        )
-
     def app_buddy(self, memory_scale: float = 1.0) -> BuddyAllocator:
         """The buddy allocator over application memory (memoised per
         scale so pools persist across address spaces, as in a running
@@ -183,7 +132,8 @@ class LinuxKernel(OsInstance):
         buddy = self._buddies.get(memory_scale)
         if buddy is None:
             geo = self.app_page_geometry()
-            n_pages = max(64, int(self._app_bytes() * memory_scale) // geo.base)
+            app_bytes = self.node.numa.application_bytes()
+            n_pages = max(64, int(app_bytes * memory_scale) // geo.base)
             buddy = BuddyAllocator(n_pages)
             self._buddies[memory_scale] = buddy
         return buddy

@@ -2,10 +2,10 @@
 
 Three presets correspond to the paper's environments:
 
-* :func:`fugaku_production` — the "highly tuned" RHEL stack: full
-  hardware partitioning (cgroups + virtual NUMA + sector cache), all
-  §4.2 noise countermeasures, hugeTLBfs with overcommit and the
-  surplus-charge hook, RHEL 8.2 TLB patch, IRQs to assistant cores.
+* :func:`fugaku_production` — the "highly tuned" RHEL stack: CPU
+  partitioning (cgroup cpusets + sector cache), all §4.2 noise
+  countermeasures, hugeTLBfs, RHEL 8.2 TLB patch, IRQs to assistant
+  cores.
 * :func:`ofp_default` — the "moderately tuned" CentOS stack: nohz_full
   on app cores and THP, but no CPU isolation, IRQs balanced over the
   whole chip (Table 1).
@@ -56,10 +56,7 @@ class LinuxTuning:
     bind_blkmq: bool = False
     stop_pmu_reads: bool = False
     # -- memory -----------------------------------------------------------
-    virtual_numa: bool = False
     large_pages: LargePagePolicy = LargePagePolicy.NONE
-    hugetlb_overcommit: bool = False
-    charge_surplus_hugetlb: bool = False
     # -- TLB --------------------------------------------------------------
     tlb_flush_mode: TlbFlushMode = TlbFlushMode.BROADCAST
     # -- caches -----------------------------------------------------------
@@ -72,10 +69,6 @@ class LinuxTuning:
     def __post_init__(self) -> None:
         if self.tick_hz <= 0:
             raise ConfigurationError("tick_hz must be positive")
-        if self.charge_surplus_hugetlb and not self.hugetlb_overcommit:
-            raise ConfigurationError(
-                "surplus charging is meaningless without overcommit"
-            )
 
     # -- Table 2 manipulation ------------------------------------------------
 
@@ -117,10 +110,7 @@ def fugaku_production() -> LinuxTuning:
         bind_kworkers=True,
         bind_blkmq=True,
         stop_pmu_reads=True,
-        virtual_numa=True,
         large_pages=LargePagePolicy.HUGETLBFS,
-        hugetlb_overcommit=True,
-        charge_surplus_hugetlb=True,
         tlb_flush_mode=TlbFlushMode.LOCAL_ONLY,
         sector_cache=True,
         sar_enabled=True,
@@ -138,10 +128,7 @@ def ofp_default() -> LinuxTuning:
         bind_kworkers=False,
         bind_blkmq=False,
         stop_pmu_reads=True,   # OFP has no TCS; there is nothing to stop
-        virtual_numa=False,
         large_pages=LargePagePolicy.THP,
-        hugetlb_overcommit=False,
-        charge_surplus_hugetlb=False,
         tlb_flush_mode=TlbFlushMode.IPI,  # x86 has no broadcast TLBI
         sector_cache=False,
         sar_enabled=True,

@@ -103,13 +103,15 @@ def _execute_cell(cell: RunCell) -> "RunResult":
     resolved = build(spec.platform)
     runner = AppRunner(resolved.machine, ALL_PROFILES[spec.app](),
                        seed=spec.seed)
+    sources = resolved.noise_sources()
     if cell.target_ci is not None:
         return runner.run_adaptive(resolved.os_instance, spec.n_nodes,
                                    n_runs=spec.n_runs,
                                    target_ci=cell.target_ci,
-                                   max_runs=cell.max_adaptive_runs)
+                                   max_runs=cell.max_adaptive_runs,
+                                   sources=sources)
     return runner.run(resolved.os_instance, spec.n_nodes,
-                      n_runs=spec.n_runs)
+                      n_runs=spec.n_runs, sources=sources)
 
 
 def _run_serial(cells: Sequence[RunCell]) -> list["RunResult"]:

@@ -20,7 +20,9 @@ import hashlib
 #: disk entries store that JSON alongside the result, so cache
 #: identity is auditable from a text artifact instead of a recursive
 #: object walk.
-SCHEMA_VERSION = 2
+#: v3: the run path honours ``noise.include_stragglers`` (entries keyed
+#: under v2 for straggler-free specs hold results sampled with them).
+SCHEMA_VERSION = 3
 
 
 def spec_key(spec) -> str:

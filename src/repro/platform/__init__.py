@@ -37,7 +37,6 @@ from .. import _lazy_exports
 #: alone (the job service) never loads ``compose``/``resolve`` and,
 #: through them, the kernel, network and noise models.
 _EXPORTS = {
-    "FaultSpec": "..faults.spec",
     **dict.fromkeys(("compose_os", "noise_sources", "resolve_fabric"),
                     ".compose"),
     **dict.fromkeys(("get_platform", "platform_names", "register_platform"),

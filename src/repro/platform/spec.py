@@ -27,7 +27,6 @@ from types import MappingProxyType
 from typing import Any, Callable, Mapping
 
 from ..errors import ConfigurationError
-from ..faults.spec import FaultSpec
 from ..hardware.machines import Machine, a64fx_testbed, fugaku, oakforest_pacs
 from ..jsonfields import check, document, get, parse
 from ..kernel.tuning import (
@@ -63,11 +62,6 @@ MACHINE_OVERRIDE_FIELDS: dict[str, type] = {
 
 #: Scalar field type -> the JSON kind an override value must be.
 _KIND = {bool: "boolean", float: "number", int: "integer", str: "string"}
-
-#: The null fault scenario :meth:`PlatformSpec.to_dict` leaves out,
-#: built once: every canonical JSON compares against it.
-_NO_FAULTS = FaultSpec.none()
-
 
 @functools.cache
 def _tuning_field_types() -> Mapping[str, type]:
@@ -165,7 +159,6 @@ class McKernelSwitches:
 _PLATFORM_FIELDS = (
     "name", "machine", "os_kind", "tuning",
     "tuning_overrides", "machine_overrides", "noise", "mckernel",
-    "faults",
 )
 
 
@@ -194,11 +187,6 @@ class PlatformSpec:
     machine_overrides: Mapping[str, Any] = field(default_factory=dict)
     noise: NoiseSwitches = field(default_factory=NoiseSwitches)
     mckernel: McKernelSwitches = field(default_factory=McKernelSwitches)
-    #: Optional fault scenario (see :mod:`repro.faults`).  The default
-    #: null scenario injects nothing and is *omitted* from the
-    #: canonical JSON, so fault support changes no pre-existing
-    #: fingerprint, cache key or golden output.
-    faults: FaultSpec = field(default_factory=FaultSpec)
 
     def __post_init__(self) -> None:
         if not self.name or not isinstance(self.name, str):
@@ -299,35 +287,12 @@ class PlatformSpec:
     def with_noise(self, **switches: bool) -> "PlatformSpec":
         return replace(self, noise=replace(self.noise, **switches))
 
-    def with_faults(self, faults: FaultSpec | None = None,
-                    **overrides: Any) -> "PlatformSpec":
-        """This platform inside a fault scenario.
-
-        Pass a complete :class:`FaultSpec`, or field overrides applied
-        on top of the spec's current scenario::
-
-            spec.with_faults(node_mtbf_hours=100_000, max_retries=3)
-        """
-        if faults is not None and overrides:
-            raise ConfigurationError(
-                "with_faults takes a FaultSpec or field overrides, "
-                "not both")
-        if faults is None:
-            faults = replace(self.faults, **overrides)
-        return replace(self, faults=faults)
-
     # -- serialization ---------------------------------------------------
 
     def to_dict(self) -> dict:
         """Complete JSON-able form (defaults included, so the canonical
-        serialization is independent of how the spec was built).
-
-        The one exception is ``faults``: the default null scenario is
-        omitted entirely, keeping every fault-free spec's canonical
-        JSON — and therefore its fingerprint and run-cache key —
-        byte-identical to the pre-fault-support serialization.
-        """
-        payload = {
+        serialization is independent of how the spec was built)."""
+        return {
             "name": self.name,
             "machine": self.machine,
             "os_kind": self.os_kind,
@@ -337,9 +302,6 @@ class PlatformSpec:
             "noise": self.noise.to_dict(),
             "mckernel": self.mckernel.to_dict(),
         }
-        if self.faults != _NO_FAULTS:
-            payload["faults"] = self.faults.to_dict()
-        return payload
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "PlatformSpec":
@@ -358,7 +320,6 @@ class PlatformSpec:
             noise=NoiseSwitches.from_dict(payload.get("noise", {})),
             mckernel=McKernelSwitches.from_dict(
                 payload.get("mckernel", {})),
-            faults=FaultSpec.from_dict(payload.get("faults", {})),
         )
 
     def to_json(self, indent: int | None = None) -> str:

@@ -25,6 +25,7 @@ paper's numbers arise:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -40,6 +41,7 @@ from ..net.collectives import CollectiveModel
 from ..net.rdma import register_many
 from ..noise.catalog import churn_compaction_source
 from ..noise.sampler import BarrierDelaySampler
+from ..noise.source import NoiseSource
 from ..platform.compose import noise_sources, resolve_fabric
 from ..sim.rng import fnv1a_64
 
@@ -175,7 +177,7 @@ class AppRunner:
 
     def _churn_time_per_interval(self, os_instance: OsInstance,
                                  n_nodes: int, threads_per_rank: int) -> float:
-        churn = self.profile.churn_bytes_at(n_nodes, self.machine.name)
+        churn = self.profile.churn_bytes_at(n_nodes, self.machine.node.arch)
         if churn == 0:
             return 0.0
         if not isinstance(os_instance, LinuxKernel):
@@ -203,16 +205,22 @@ class AppRunner:
 
     def _noise_sampler(
         self, os_instance: OsInstance, n_nodes: int, n_threads: int,
+        sources: Sequence[NoiseSource] | None,
     ) -> BarrierDelaySampler | None:
         """The cell's barrier-delay sampler, or None when noiseless.
 
-        Depends only on (OS, n_nodes, n_threads) — never on the trial
-        index — so one sampler serves every trial of a run batch.
+        ``sources`` is the platform's noise catalogue
+        (:meth:`~repro.platform.resolve.ResolvedPlatform.noise_sources`
+        honours the spec's noise switches); ``None`` lowers
+        ``os_instance`` with every source included.  Depends only on
+        (OS, n_nodes, n_threads) — never on the trial index — so one
+        sampler serves every trial of a run batch.
         """
-        sources = list(noise_sources(os_instance))
+        sources = list(noise_sources(os_instance) if sources is None
+                       else sources)
         # App-induced THP compaction stalls (the scale-growing half of
         # the LULESH heap effect).
-        churn = self.profile.churn_bytes_at(n_nodes, self.machine.name)
+        churn = self.profile.churn_bytes_at(n_nodes, self.machine.node.arch)
         if (
             churn > 0
             and isinstance(os_instance, LinuxKernel)
@@ -226,16 +234,6 @@ class AppRunner:
             sync_interval=self.profile.sync_interval_at(n_nodes),
             n_threads=n_threads,
         )
-
-    def _noise_delay_per_interval(
-        self, os_instance: OsInstance, n_nodes: int, n_threads: int,
-        rng: np.random.Generator,
-    ) -> float:
-        sampler = self._noise_sampler(os_instance, n_nodes, n_threads)
-        if sampler is None:
-            return 0.0
-        n_sample = min(self.profile.iterations, 512)
-        return float(sampler.sample(n_sample, rng).mean())
 
     def _init_time(self, os_instance: OsInstance, n_nodes: int) -> float:
         p = self.profile
@@ -263,7 +261,7 @@ class AppRunner:
         once; the sum feeds the per-interval cost and the same values
         price the Breakdown."""
         p = self.profile
-        geo = p.geometry_for(self.machine.name)
+        geo = p.geometry_for(self.machine.node.arch)
         n_threads = n_nodes * geo.threads_per_node
         tlb_time = self._tlb_time_per_interval(os_instance, n_nodes)
         churn_time = self._churn_time_per_interval(os_instance, n_nodes,
@@ -354,18 +352,21 @@ class AppRunner:
         )
 
     def run(self, os_instance: OsInstance, n_nodes: int,
-            n_runs: int = 3, batch_trials: bool = True) -> RunResult:
+            n_runs: int = 3, batch_trials: bool = True,
+            sources: Sequence[NoiseSource] | None = None) -> RunResult:
         """Execute the profile ``n_runs`` times; per-run noise and
         variability draws differ, producing the error bars of Figs. 5-7.
 
         ``batch_trials=False`` forces the historical per-trial sampling
         loop; the result is bit-identical either way (asserted in
         tests and measured by the ``sweep_multitrial`` benchmarks).
+        ``sources`` is the noise catalogue (see :meth:`_noise_sampler`).
         """
         check_run_args(self.machine, n_nodes, n_runs)
         (tlb_time, churn_time, collective_time, per_iter_static, init,
          n_intervals, n_threads) = self._component_times(os_instance, n_nodes)
-        sampler = self._noise_sampler(os_instance, n_nodes, n_threads)
+        sampler = self._noise_sampler(os_instance, n_nodes, n_threads,
+                                      sources)
         times, noise_means = self._trial_batch(
             os_instance, n_nodes, n_threads, range(n_runs), sampler,
             per_iter_static, init, n_intervals, batch_trials)
@@ -375,7 +376,9 @@ class AppRunner:
 
     def run_adaptive(self, os_instance: OsInstance, n_nodes: int,
                      n_runs: int = 3, target_ci: float = 0.05,
-                     max_runs: int = 64) -> RunResult:
+                     max_runs: int = 64,
+                     sources: Sequence[NoiseSource] | None = None,
+                     ) -> RunResult:
         """Monte-Carlo cell with variance-adaptive early stopping.
 
         Trials are drawn in batches of ``n_runs`` until the Student-t
@@ -393,7 +396,8 @@ class AppRunner:
             raise ConfigurationError("max_runs must be >= n_runs")
         (tlb_time, churn_time, collective_time, per_iter_static, init,
          n_intervals, n_threads) = self._component_times(os_instance, n_nodes)
-        sampler = self._noise_sampler(os_instance, n_nodes, n_threads)
+        sampler = self._noise_sampler(os_instance, n_nodes, n_threads,
+                                      sources)
         times: list[float] = []
         noise_means: list[float] = []
         while True:

@@ -54,30 +54,30 @@ def test_strong_scaling_messages_shrink_surface_volume():
 
 def test_churn_override_per_platform():
     p = _weak(churn_bytes=0,
-              churn_override={"fugaku": mib(24)})
-    assert p.churn_bytes_at(16, "Oakforest-PACS") == 0
-    assert p.churn_bytes_at(16, "Fugaku") == mib(24)
+              churn_override={"aarch64": mib(24)})
+    assert p.churn_bytes_at(16, "x86_64") == 0
+    assert p.churn_bytes_at(16, "aarch64") == mib(24)
 
 
 def test_geometry_matching_with_default():
-    p = _weak(geometry={"oakforest": RankGeometry(16, 16)})
-    ofp = p.geometry_for("Oakforest-PACS")
+    p = _weak(geometry={"x86_64": RankGeometry(16, 16)})
+    ofp = p.geometry_for("x86_64")
     assert (ofp.ranks_per_node, ofp.threads_per_rank) == (16, 16)
-    fug = p.geometry_for("Fugaku")
+    fug = p.geometry_for("aarch64")
     assert (fug.ranks_per_node, fug.threads_per_rank) == (4, 12)
     assert fug.threads_per_node == 48
 
 
 def test_paper_appendix_geometries():
     lqcd = ALL_PROFILES["LQCD"]()
-    assert lqcd.geometry_for("Oakforest-PACS").ranks_per_node == 4
-    assert lqcd.geometry_for("Oakforest-PACS").threads_per_rank == 32
+    assert lqcd.geometry_for("x86_64").ranks_per_node == 4
+    assert lqcd.geometry_for("x86_64").threads_per_rank == 32
     geofem = ALL_PROFILES["GeoFEM"]()
-    assert geofem.geometry_for("Oakforest-PACS").ranks_per_node == 16
+    assert geofem.geometry_for("x86_64").ranks_per_node == 16
     gamera = ALL_PROFILES["GAMERA"]()
-    assert gamera.geometry_for("Oakforest-PACS").ranks_per_node == 8
+    assert gamera.geometry_for("x86_64").ranks_per_node == 8
     for app in ("LQCD", "GeoFEM", "GAMERA"):
-        g = ALL_PROFILES[app]().geometry_for("Fugaku")
+        g = ALL_PROFILES[app]().geometry_for("aarch64")
         assert (g.ranks_per_node, g.threads_per_rank) == (4, 12)
 
 

@@ -67,14 +67,6 @@ def test_vma_end_and_fault_stats_reset():
     assert space.stats.cow_faults == 0
 
 
-def test_sched_task_and_cgroup_reprs():
-    from repro.kernel.cgroup import Cgroup
-
-    cg = Cgroup("app", cpus=range(8), mems=[0])
-    cg.attach(1)
-    assert "app" in repr(cg) and "tasks=1" in repr(cg)
-
-
 def test_topology_repr():
     from repro.hardware.topology import CpuTopology
 

@@ -246,28 +246,38 @@ def test_chaos_spec_field_types_are_checked(tmp_path, run_main, verb,
 _PLATFORM = {"name": "x", "machine": "fugaku"}
 
 
+def _mistyped(field: str) -> str:
+    return f"{field!r} must be a JSON"
+
+
+# A platform carries no fault scenario any more, so a spec with a
+# mistyped or non-finite "faults" field is refused as a whole: the
+# "faults" key is unknown, never read as a backoff factor of 1.0 or a
+# NaN rate.  The FaultSpec field checks themselves are tested on
+# FaultSpec directly (test_faults_spec).
+_FAULTS_REFUSED = "unknown field(s) ['faults']"
+
+
 @pytest.mark.parametrize("verb", ["validate", "submit"])
-@pytest.mark.parametrize("platform, run, field", [
-    ({"machine": []}, {}, "machine"),
-    ({"tuning": ["a"]}, {}, "tuning"),
-    ({"tuning_overrides": "ab"}, {}, "tuning_overrides"),
-    ({"noise": 5}, {}, "noise"),
-    ({}, {"app": ["a"]}, "app"),
-    ({}, {"app": {}}, "app"),
-    ({"faults": {"backoff_factor": "x"}}, {}, "faults.backoff_factor"),
-    ({"faults": {"backoff_factor": True}}, {}, "faults.backoff_factor"),
-    ({"faults": {"node_mtbf_hours": float("nan")}}, {},
-     "faults.node_mtbf_hours"),
-    ({"faults": {"ikc_timeout": float("inf")}}, {}, "faults.ikc_timeout"),
-    ({"faults": {"checkpoint_cost": 1e999}}, {}, "faults.checkpoint_cost"),
+@pytest.mark.parametrize("platform, run, message", [
+    ({"machine": []}, {}, _mistyped("machine")),
+    ({"tuning": ["a"]}, {}, _mistyped("tuning")),
+    ({"tuning_overrides": "ab"}, {}, _mistyped("tuning_overrides")),
+    ({"noise": 5}, {}, _mistyped("noise")),
+    ({}, {"app": ["a"]}, _mistyped("app")),
+    ({}, {"app": {}}, _mistyped("app")),
+    ({"faults": {"backoff_factor": "x"}}, {}, _FAULTS_REFUSED),
+    ({"faults": {"backoff_factor": True}}, {}, _FAULTS_REFUSED),
+    ({"faults": {"node_mtbf_hours": float("nan")}}, {}, _FAULTS_REFUSED),
+    ({"faults": {"ikc_timeout": float("inf")}}, {}, _FAULTS_REFUSED),
+    ({"faults": {"checkpoint_cost": 1e999}}, {}, _FAULTS_REFUSED),
 ], ids=["machine-list", "tuning-list", "overrides-str", "noise-int",
         "app-list", "app-object", "backoff-str", "backoff-bool",
         "rate-nan", "timeout-inf", "cost-1e999"])
 def test_platform_and_run_spec_field_types_are_checked(
-        tmp_path, run_main, verb, platform, run, field):
+        tmp_path, run_main, verb, platform, run, message):
     """A mistyped or non-finite platform/run-spec field is a diagnostic
-    naming it, never a traceback or a silent read (``true`` as a
-    backoff factor of 1.0, ``NaN`` as a rate)."""
+    naming it, never a traceback or a silent read."""
     platform = {**_PLATFORM, **platform}
     run_doc = {"platform": platform, "app": "Milc", "n_nodes": 64, **run}
     spec = tmp_path / "spec.json"
@@ -279,7 +289,7 @@ def test_platform_and_run_spec_field_types_are_checked(
             else ["submit", str(spec), "--dir", str(svc)])
     code, _, err = run_main(argv)
     assert code == 2
-    assert f"{field!r} must be a JSON" in _diagnostic(err)
+    assert message in _diagnostic(err)
     assert not list(svc.glob("jobs/*.json"))
 
 
@@ -289,15 +299,28 @@ _RUN = {"platform": _PLATFORM, "app": "Milc", "n_nodes": 4}
 @pytest.mark.parametrize("verb", ["validate", "run"])
 @pytest.mark.parametrize("doc, message", [
     ({**_RUN, "seed": -1}, "seed: must be >= 0, got -1"),
+    # A platform carries no fault scenario (the batch scheduler takes
+    # a FaultSpec directly), so any "faults" key is an unknown field.
     ({**_RUN, "platform": {**_PLATFORM, "faults": {"seed": -5}}},
-     "faults.seed: must be >= 0, got -5"),
+     "unknown field(s) ['faults']"),
+    ({**_RUN, "platform": {**_PLATFORM, "faults": {}}},
+     "unknown field(s) ['faults']"),
     ({**_RUN, "n_nodes": 10 ** 12}, "n_nodes must be in 1..158976"),
-], ids=["seed-negative", "fault-seed-negative", "nodes-over-machine"])
+    *[({**_RUN, "platform": {**_PLATFORM,
+                             "tuning_overrides": {knob: True}}},
+       f"tuning_overrides.{knob}: LinuxTuning has no such field")
+      for knob in ("virtual_numa", "hugetlb_overcommit",
+                   "charge_surplus_hugetlb")],
+], ids=["seed-negative", "fault-seed-negative", "faults-empty",
+        "nodes-over-machine", "tuning-virtual-numa",
+        "tuning-hugetlb-overcommit", "tuning-charge-surplus-hugetlb"])
 def test_validate_refuses_what_run_refuses(tmp_path, run_main, verb, doc,
                                            message):
     """A run spec that ``repro run`` cannot run is not "valid" either:
     both verbs refuse it with the same diagnostic, never numpy's
-    traceback."""
+    traceback.  Spec keys that name no model state (a platform
+    ``faults`` scenario, tuning fields no model reads) are refused,
+    not silently carried into the cache key."""
     spec = tmp_path / "run.json"
     spec.write_text(json.dumps(doc))
     argv = (["platform", "validate", str(spec)] if verb == "validate"

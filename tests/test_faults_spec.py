@@ -1,5 +1,4 @@
-"""FaultSpec: validation, null scenario, JSON round trip, and the
-byte-stability contract with PlatformSpec."""
+"""FaultSpec: validation, null scenario and JSON round trip."""
 
 import json
 
@@ -7,7 +6,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.faults import FaultSpec
-from repro.platform import PlatformSpec, get_platform
 
 
 def test_default_is_none_and_inactive():
@@ -79,33 +77,19 @@ def test_from_dict_rejects_unknowns():
         FaultSpec.from_json("{truncated")
 
 
-def test_platform_spec_omits_null_faults():
-    """The byte-stability contract: a fault-free platform serializes
-    exactly as it did before faults existed, so every pre-existing
-    fingerprint, cache key and golden output is unchanged."""
-    plat = get_platform("fugaku-production")
-    assert plat.faults == FaultSpec.none()
-    assert "faults" not in plat.to_dict()
-
-    faulty = plat.with_faults(node_mtbf_hours=8000.0)
-    payload = faulty.to_dict()
-    assert payload["faults"]["node_mtbf_hours"] == 8000.0
-    assert faulty.canonical_json() != plat.canonical_json()
-
-
-def test_platform_spec_faults_round_trip():
-    plat = get_platform("ofp-default").with_faults(
-        node_mtbf_hours=4000.0, seed=3)
-    back = PlatformSpec.from_json(plat.to_json())
-    assert back == plat
-    assert back.faults.node_mtbf_hours == 4000.0
-    # And the fault-free spec round-trips to a null FaultSpec.
-    clean = PlatformSpec.from_json(get_platform("ofp-default").to_json())
-    assert clean.faults == FaultSpec.none()
-
-
-def test_with_faults_rejects_spec_plus_overrides():
-    plat = get_platform("fugaku-production")
-    with pytest.raises(ConfigurationError):
-        plat.with_faults(FaultSpec(node_mtbf_hours=1.0),
-                         node_mtbf_hours=2.0)
+@pytest.mark.parametrize("payload, field", [
+    ({"backoff_factor": "x"}, "faults.backoff_factor"),
+    ({"backoff_factor": True}, "faults.backoff_factor"),
+    ({"node_mtbf_hours": float("nan")}, "faults.node_mtbf_hours"),
+    ({"ikc_timeout": float("inf")}, "faults.ikc_timeout"),
+    ({"checkpoint_cost": 1e999}, "faults.checkpoint_cost"),
+], ids=["backoff-str", "backoff-bool", "rate-nan", "timeout-inf",
+        "cost-1e999"])
+def test_field_types_are_checked(payload, field):
+    """A mistyped or non-finite field is a diagnostic naming it, never
+    a silent read (``true`` as a backoff factor of 1.0, ``NaN`` as a
+    rate)."""
+    # json.dumps writes NaN/Infinity, which json.loads reads back.
+    with pytest.raises(ConfigurationError,
+                       match=f"'{field}' must be a JSON"):
+        FaultSpec.from_json(json.dumps(payload))

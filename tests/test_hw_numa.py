@@ -1,15 +1,9 @@
-"""NUMA domains and the virtual-NUMA firmware split."""
+"""NUMA domains and layouts."""
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.hardware.numa import (
-    MemoryKind,
-    NumaDomain,
-    NumaLayout,
-    NumaRole,
-    split_virtual_numa,
-)
+from repro.hardware.numa import MemoryKind, NumaDomain, NumaLayout, NumaRole
 from repro.units import gib
 
 
@@ -42,49 +36,15 @@ def test_unknown_domain_lookup():
         layout.domain(5)
 
 
-def test_virtual_numa_split_conserves_capacity():
-    layout = split_virtual_numa([_hbm(i, i) for i in range(4)], 0.125)
-    assert layout.total_bytes() == gib(32)
-    app = layout.by_role(NumaRole.APPLICATION)
-    sys_ = layout.by_role(NumaRole.SYSTEM)
-    assert len(app) == 4 and len(sys_) == 4
-    # The system slice is 1/8 of each domain.
-    assert sum(d.size_bytes for d in sys_) == pytest.approx(
-        gib(32) * 0.125, rel=1e-9)
-
-
-def test_virtual_numa_app_domains_numbered_first():
-    layout = split_virtual_numa([_hbm(i, i) for i in range(2)], 0.25)
-    roles = [d.role for d in layout]
-    assert roles == [NumaRole.APPLICATION, NumaRole.APPLICATION,
-                     NumaRole.SYSTEM, NumaRole.SYSTEM]
-    assert [d.node_id for d in layout] == [0, 1, 2, 3]
-
-
-def test_virtual_numa_preserves_group_locality():
-    layout = split_virtual_numa([_hbm(i, i) for i in range(4)], 0.125)
-    for g in range(4):
-        app = layout.local_domain(g, NumaRole.APPLICATION)
-        sys_ = layout.local_domain(g, NumaRole.SYSTEM)
-        assert app.group_id == g and sys_.group_id == g
-
-
-def test_virtual_numa_split_requires_general_domains():
-    already = NumaDomain(node_id=0, kind=MemoryKind.HBM2,
-                         size_bytes=gib(8), role=NumaRole.SYSTEM)
-    with pytest.raises(ConfigurationError):
-        split_virtual_numa([already], 0.125)
-
-
-@pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5, 2.0])
-def test_virtual_numa_fraction_bounds(fraction):
-    with pytest.raises(ConfigurationError):
-        split_virtual_numa([_hbm(0, 0)], fraction)
-
-
 def test_application_bytes_counts_general_and_application():
-    layout = split_virtual_numa([_hbm(i, i) for i in range(4)], 0.125)
-    assert layout.application_bytes() == pytest.approx(gib(28), rel=1e-9)
+    layout = NumaLayout([
+        NumaDomain(node_id=0, kind=MemoryKind.HBM2, size_bytes=gib(7),
+                   role=NumaRole.APPLICATION),
+        NumaDomain(node_id=1, kind=MemoryKind.HBM2, size_bytes=gib(1),
+                   role=NumaRole.SYSTEM),
+        _hbm(2, 2),
+    ])
+    assert layout.application_bytes() == gib(15)
     plain = NumaLayout([_hbm(0, 0)])
     assert plain.application_bytes() == gib(8)
 

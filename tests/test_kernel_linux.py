@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.hardware.numa import NumaRole
 from repro.kernel.linux import LinuxKernel
 from repro.kernel.pagetable import PageKind
 from repro.kernel.tuning import (
@@ -13,7 +12,6 @@ from repro.kernel.tuning import (
     ofp_default,
     untuned,
 )
-from repro.units import gib
 
 
 def test_fugaku_partitions_cpus(fugaku_linux):
@@ -26,24 +24,6 @@ def test_fugaku_partitions_cpus(fugaku_linux):
 def test_ofp_has_no_partition(ofp_linux):
     assert len(ofp_linux.app_cpu_ids()) == 272
     assert ofp_linux.system_cpu_ids() == []
-
-
-def test_virtual_numa_applied_on_fugaku(fugaku_linux, fugaku_machine):
-    app = fugaku_linux.numa.by_role(NumaRole.APPLICATION)
-    sys_ = fugaku_linux.numa.by_role(NumaRole.SYSTEM)
-    assert len(app) == 4 and len(sys_) == 4
-    assert fugaku_linux.numa.total_bytes() == gib(32)
-
-
-def test_no_virtual_numa_on_ofp(ofp_linux):
-    assert ofp_linux.numa.by_role(NumaRole.SYSTEM) == []
-
-
-def test_cgroup_hierarchy_built_only_with_isolation(
-        fugaku_linux, ofp_linux):
-    assert fugaku_linux.cgroup_app is not None
-    assert fugaku_linux.cgroup_app.memory.charge_surplus_hugetlb
-    assert ofp_linux.cgroup_app is None
 
 
 def test_irqs_routed_to_assistants_on_fugaku(fugaku_linux):

@@ -101,9 +101,8 @@ def test_fugaku_production_is_fully_tuned():
     t = fugaku_production()
     assert t.nohz_full and t.cgroup_cpu_isolation and t.irq_to_assistant
     assert t.bind_kworkers and t.bind_blkmq and t.stop_pmu_reads
-    assert t.virtual_numa and t.sector_cache
+    assert t.sector_cache
     assert t.large_pages is LargePagePolicy.HUGETLBFS
-    assert t.hugetlb_overcommit and t.charge_surplus_hugetlb
     assert t.tlb_flush_mode is TlbFlushMode.LOCAL_ONLY
     assert t.sar_enabled  # operationally required, cannot be off
     for cm in Countermeasure:
@@ -138,12 +137,6 @@ def test_disable_flips_exactly_one_countermeasure():
             if other is not cm:
                 assert modified.countermeasure_enabled(other)
         assert cm.value in modified.name
-
-
-def test_surplus_charge_requires_overcommit():
-    with pytest.raises(ConfigurationError):
-        LinuxTuning(name="bad", hugetlb_overcommit=False,
-                    charge_surplus_hugetlb=True)
 
 
 def test_tick_hz_positive():

@@ -41,14 +41,6 @@ def test_experiment_result_render_contains_id_and_title():
     assert rendered.endswith("body")
 
 
-def test_profile_geometry_substring_matching_is_case_insensitive():
-    lqcd = ALL_PROFILES["LQCD"]()
-    a = lqcd.geometry_for("OAKFOREST-PACS")
-    b = lqcd.geometry_for("oakforest-pacs")
-    assert (a.ranks_per_node, a.threads_per_rank) == \
-        (b.ranks_per_node, b.threads_per_rank) == (4, 32)
-
-
 def test_all_profiles_have_distinct_os_surfaces():
     """Each paper app stresses a distinct OS mechanism — guard that the
     profiles stay differentiated."""

@@ -179,8 +179,6 @@ def _populate_cost(policy: LargePagePolicy) -> float:
     tuning = replace(
         fugaku_production(),
         large_pages=policy,
-        hugetlb_overcommit=policy is LargePagePolicy.HUGETLBFS,
-        charge_surplus_hugetlb=policy is LargePagePolicy.HUGETLBFS,
         name=f"ablation-{policy.value}",
     )
     kernel = LinuxKernel(fugaku().node, tuning)

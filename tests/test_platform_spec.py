@@ -16,6 +16,7 @@ from repro.platform import (
     load_spec,
     platform_names,
     register_platform,
+    run_cells,
 )
 
 
@@ -210,6 +211,23 @@ def test_noise_switches_reach_the_catalogue():
                    for s in testbed.noise_sources())
     assert any("straggler" in s.name
                for s in at_scale.noise_sources())
+
+
+@pytest.mark.parametrize("app", ["Milc", "LQCD", "GeoFEM"])
+def test_run_path_honours_include_stragglers(app):
+    """A RunSpec samples the catalogue its noise switches select: the
+    straggler-free testbed and the same spec with stragglers on are
+    different cells with different times, not one result under two
+    cache keys."""
+    without = get_platform("a64fx-testbed")
+    with_ = without.with_noise(include_stragglers=True)
+    (quiet, noisy) = run_cells([
+        RunSpec(platform=spec, app=app, n_nodes=16)
+        for spec in (without, with_)])
+    assert quiet.times != noisy.times
+    # Everything but the noise catalogue is the same platform.
+    assert quiet.breakdown.compute == noisy.breakdown.compute
+    assert quiet.breakdown.init == noisy.breakdown.init
 
 
 # -- CLI ----------------------------------------------------------------

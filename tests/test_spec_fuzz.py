@@ -45,7 +45,6 @@ PLATFORM = {
     "machine_overrides": {"n_nodes": 64, "name": "m"},
     "noise": {"include_stragglers": False},
     "mckernel": {"memory_fraction": 0.8, "picodriver": False},
-    "faults": FAULTS,
 }
 RUN = {"platform": PLATFORM, "app": "Milc", "n_nodes": 64, "n_runs": 2,
        "seed": 7}

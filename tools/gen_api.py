@@ -111,9 +111,9 @@ cgroup OOM-kill / proxy-crash / daemon-stall rates (per node-hour, so
 exposure scales with job size × walltime), IKC drop probability, plus
 the tolerance policy (bounded retries with exponential backoff,
 optional periodic checkpoint/restart).  The default spec injects
-nothing and is omitted from canonical platform JSON, so every
-fault-free fingerprint, cache key and golden output is byte-identical
-to a build without fault support.
+nothing.  A spec goes straight to the batch scheduler; platform
+documents carry none, so a fault scenario never enters a run-cache
+key.
 
 `FaultInjector` turns a spec into deterministic `FaultEvent`
 schedules: every draw comes from a named stream seeded by
@@ -135,12 +135,13 @@ Component wiring:
 
 ```python
 from repro.faults import FaultSpec
-from repro.platform import get_platform
+from repro.runtime.batchsched import BatchScheduler
+from repro.sim.engine import Engine
 
-plat = get_platform("fugaku-production").with_faults(
-    node_mtbf_hours=8000.0, checkpoint_interval=1800.0,
-    checkpoint_cost=60.0, seed=42)
-plat.to_json()   # "faults" section present only when active
+faults = FaultSpec(node_mtbf_hours=8000.0, checkpoint_interval=1800.0,
+                   checkpoint_cost=60.0, seed=42)
+sched = BatchScheduler(Engine(), total_nodes=8192, faults=faults)
+FaultSpec.from_json(faults.to_json()) == faults   # round-trips as data
 ```
 
 The `faults` experiment (`repro experiment faults --full`) sweeps job
