@@ -209,9 +209,10 @@ class AppendLog:
         reported and the returned ``offset`` stops before them.  Readers
         thus agree with :meth:`torn_tail` and :meth:`heal_torn_tail`,
         and a later call picks the line up once its writer finishes it.
-        A line that is not a UTF-8 JSON object goes to ``damaged`` as
-        ``"<line>: <reason>"``, with the line number counted from the
-        start of the file; blank lines are skipped.
+        A line that is not a UTF-8 JSON object, or nests too deep to
+        decode, goes to ``damaged`` as ``"<line>: <reason>"``, with the
+        line number counted from the start of the file; blank lines are
+        skipped.
         """
         try:
             fh = open(self.path, "rb")
@@ -237,9 +238,18 @@ class AppendLog:
                 continue
             try:
                 # UnicodeDecodeError is a ValueError: a line that is
-                # not UTF-8 is damaged like one that is not JSON.
-                record = _decode(text.decode("utf-8"))
-            except ValueError as exc:
+                # not UTF-8 is damaged like one that is not JSON, and
+                # so is one nested deeper than the decoder recurses.
+                string = text.decode("utf-8")
+                try:
+                    record, stop = _scan(string, 0)
+                except (StopIteration, ValueError):
+                    stop = -1
+                if stop != len(string):
+                    # Whitespace, a BOM, extra data or bad JSON: the
+                    # full decoder accepts the line or words the damage.
+                    record = _decode(string)
+            except (ValueError, RecursionError) as exc:
                 damaged.append(f"{number}: unparseable line ({exc})")
                 continue
             if not isinstance(record, dict):
@@ -255,6 +265,11 @@ class AppendLog:
 #: :func:`json.loads` for a ``str`` minus its per-call argument checks
 #: (a line opening with a BOM is still rejected, as "Expecting value").
 _decode = json.JSONDecoder().decode
+#: The scanner under :data:`_decode`: ``(value, end)`` of the JSON
+#: value starting at an index.  Where it takes a whole line, from index
+#: 0 to the end, the decoder would return that same value, so a line
+#: costs one scanner call and no whitespace matching.
+_scan = json.JSONDecoder().scan_once
 
 
 class LogTail(NamedTuple):

@@ -22,9 +22,9 @@ views, split deliberately into two tiers:
   top`` renders them; ``report --check`` holds them against an SLO
   rule file; they are never byte-compared.
 
-Exports reuse the PR-4 writers: :meth:`chrome` renders the canonical
-span timeline on the 9th ("service") trace layer via
-:func:`~repro.obs.export.chrome_trace_json`; :meth:`prometheus`
+Exports match the tracer's writers: :meth:`chrome` renders the
+canonical span timeline on the 9th ("service") trace layer in the
+bytes of :func:`~repro.obs.export.chrome_trace_json`; :meth:`prometheus`
 renders the core as a :class:`~repro.obs.metrics.MetricsRegistry`
 through :func:`~repro.obs.export.prometheus_text`.
 """
@@ -38,10 +38,10 @@ from typing import Optional
 from ..errors import ConfigurationError, ServiceError
 from ..jsonfields import check, document, parse, read_text
 from ..service.journal import fold_records
-from .export import canonical_json, chrome_trace_json, prometheus_text
+from .export import _us, canonical_json, chrome_trace, prometheus_text
 from .metrics import MetricsRegistry
 from .spool import read_spool, spool_dir
-from .tracer import Tracer
+from .tracer import LAYERS, Tracer
 
 __all__ = ["DEFAULT_SLO", "FleetAggregator", "load_slo"]
 
@@ -74,6 +74,13 @@ _STATE_SPANS = {
     "done": ("submit", "claim", "run", "done"),
     "failed": ("submit", "fail"),
 }
+
+#: One instant event of :meth:`FleetAggregator.chrome` in canonical
+#: JSON (keys sorted), formatted with the actor's JSON, ``lc``, the
+#: span name and the timestamp in microseconds.
+_CHROME_EVENT = ('{"args":{"actor":%%s,"lc":%%d},"cat":"service",'
+                 '"name":"%%s","ph":"i","pid":1,"s":"t","tid":%d,'
+                 '"ts":%%r}' % LAYERS.index("service"))
 
 
 def load_slo(path: "str | os.PathLike") -> dict:
@@ -207,19 +214,32 @@ class FleetAggregator:
     def chrome(self) -> str:
         """The canonical span timeline as Chrome trace JSON: one
         instant event per committed lifecycle step on the ``service``
-        layer, jobs laid end to end in id order on a logical clock."""
-        tracer = Tracer()
-        # The spans depend only on the job id and its folded state, so
-        # the timeline reads the journal's table and no result file.
+        layer, jobs laid end to end in id order on a logical clock.
+
+        The bytes are :func:`~repro.obs.export.chrome_trace_json` of a
+        tracer holding these events, but no event object is built: the
+        spans depend only on the job id and its folded state (so the
+        timeline reads the journal's table and no result file), every
+        event has one shape, and each is formatted straight into its
+        canonical text.  Unlike a tracer's ring, nothing is dropped at
+        any size."""
+        events = []
+        clock = 0
         for job_id in sorted(self._table):
+            actor = canonical_json(job_id)
             for lc, name in enumerate(
                     _STATE_SPANS[self._table[job_id].state.value]):
-                tracer.event("service", name,
-                             ts=tracer.advance("service"),
-                             actor=job_id, lc=lc)
-        return chrome_trace_json(
-            tracer, metadata={"reportFormatVersion": REPORT_FORMAT_VERSION,
-                              "source": "repro service report"})
+                events.append(_CHROME_EVENT % (actor, lc, name, _us(clock)))
+                clock += 1
+        skeleton = chrome_trace(
+            Tracer(), metadata={"reportFormatVersion": REPORT_FORMAT_VERSION,
+                                "source": "repro service report"})
+        if events:
+            skeleton["otherData"]["layers"] = {"service": len(events)}
+        # ``traceEvents`` sorts last and its metadata events make it
+        # non-empty, so the events go in just before the closing "]}".
+        return (canonical_json(skeleton)[:-2]
+                + "".join("," + event for event in events) + "]}\n")
 
     def prometheus(self) -> str:
         """The deterministic core as Prometheus exposition text, plus
@@ -239,11 +259,17 @@ class FleetAggregator:
         return prometheus_text(registry, tracer=tracer)
 
     def _segments_dropped(self) -> int:
+        """Drops the spools' trace segments report; a ``dropped`` field
+        ``int()`` cannot read counts none (a spool is evidence, and a
+        damaged one must not stop the report)."""
         dropped = 0
         for worker in sorted(self.spools):
             for record in self.spools[worker]["records"]:
                 if record.get("kind") == "segment":
-                    dropped += int(record.get("dropped", 0) or 0)
+                    try:
+                        dropped += int(record.get("dropped", 0) or 0)
+                    except (TypeError, ValueError, OverflowError):
+                        pass
         return dropped
 
     # -- forensic rollups ---------------------------------------------
@@ -277,7 +303,7 @@ class FleetAggregator:
             kinds = {"event": 0, "metrics": 0, "segment": 0}
             for record in spool["records"]:
                 kind = record.get("kind")
-                if kind in kinds:
+                if isinstance(kind, str) and kind in kinds:
                     kinds[kind] += 1
             workers[worker] = {
                 "records": len(spool["records"]),

@@ -23,20 +23,17 @@ cache=...)`` makes every sweep inside the block fan out and memoize.
 
 from __future__ import annotations
 
-from ..obs.metrics import MetricsRegistry
-from .cache import RunCache, default_cache_dir
-from .context import PerfContext, get_context, perf_context
-from .executor import RunCell, execute_cells
-from .fingerprint import spec_key
+from .. import _lazy_exports
 
-__all__ = [
-    "MetricsRegistry",
-    "PerfContext",
-    "RunCache",
-    "RunCell",
-    "default_cache_dir",
-    "execute_cells",
-    "get_context",
-    "perf_context",
-    "spec_key",
-]
+#: Where each re-export lives.  A reader of the cache or of spec keys
+#: alone (the job service's read verbs) never loads the executor.
+_EXPORTS = {
+    "MetricsRegistry": "..obs.metrics",
+    **dict.fromkeys(("RunCache", "default_cache_dir"), ".cache"),
+    **dict.fromkeys(("PerfContext", "get_context", "perf_context"),
+                    ".context"),
+    **dict.fromkeys(("RunCell", "execute_cells"), ".executor"),
+    "spec_key": ".fingerprint",
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
+__all__ = sorted(_EXPORTS)

@@ -40,25 +40,20 @@ soak-tested against.
 
 from __future__ import annotations
 
-from .fleet import serve
-from .fsck import ServiceFsck, verify_service
-from .jobs import JOB_KINDS, JobSpec, job_id_for, load_jobspec
-from .journal import Journal
-from .queue import JobQueue, JobState, JobView, default_service_dir
-from .worker import Worker
+from .. import _lazy_exports
 
-__all__ = [
-    "JOB_KINDS",
-    "JobQueue",
-    "JobSpec",
-    "JobState",
-    "JobView",
-    "Journal",
-    "ServiceFsck",
-    "Worker",
-    "default_service_dir",
-    "job_id_for",
-    "load_jobspec",
-    "serve",
-    "verify_service",
-]
+#: Where each re-export lives.  The read verbs (``status``, ``service
+#: verify``, ``service report``) never touch ``worker``/``fleet``, so
+#: they never load the engine those run jobs through.
+_EXPORTS = {
+    "serve": ".fleet",
+    **dict.fromkeys(("ServiceFsck", "verify_service"), ".fsck"),
+    **dict.fromkeys(("JOB_KINDS", "JobSpec", "job_id_for", "load_jobspec"),
+                    ".jobs"),
+    "Journal": ".journal",
+    **dict.fromkeys(("JobQueue", "JobState", "JobView",
+                     "default_service_dir"), ".queue"),
+    "Worker": ".worker",
+}
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
+__all__ = sorted(_EXPORTS)

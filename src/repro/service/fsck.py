@@ -57,6 +57,7 @@ JSON — byte-stable for identical directory states.
 
 from __future__ import annotations
 
+import fnmatch
 import json
 import os
 import pathlib
@@ -166,7 +167,7 @@ class ServiceFsck:
 
     def _check_artifacts(self, table: dict) -> None:
         jobs_dir = self.queue.jobs_dir
-        on_disk = {p.stem: p for p in sorted(jobs_dir.glob("*.json"))}
+        on_disk = {_stem(p.name): p for p in _listing(jobs_dir, "*.json")}
         self.checked["jobs"] = len(table)
         # Submission texts that decoded cleanly: identical bytes decode
         # identically, so each distinct text is decoded once per run.
@@ -183,7 +184,8 @@ class ServiceFsck:
                     job=job_id)
                 continue
             try:
-                text = path.read_text()
+                with open(path) as fh:
+                    text = fh.read()
                 if text not in decoded:
                     JobSpec.from_dict(json.loads(text))
                     decoded.add(text)
@@ -208,9 +210,8 @@ class ServiceFsck:
         results_dir = self.queue.results_dir
         # ``*.tmp-*`` entries are in-flight workdirs, not published
         # results — they have their own stray-workdir check.
-        dirs = {p.name: p for p in sorted(results_dir.iterdir())
-                if p.is_dir() and ".tmp-" not in p.name} \
-            if results_dir.is_dir() else {}
+        dirs = {p.name: p for p in _listing(results_dir, "*")
+                if p.is_dir() and ".tmp-" not in p.name}
         self.checked["results"] = len(dirs)
         for job_id in sorted(table):
             view = table[job_id]
@@ -253,8 +254,7 @@ class ServiceFsck:
 
     def _check_claims(self, table: dict) -> None:
         claims_dir = self.queue.claims_dir
-        paths = sorted(claims_dir.glob("*.claim")) \
-            if claims_dir.is_dir() else []
+        paths = _listing(claims_dir, "*.claim")
         self.checked["claims"] = len(paths)
         for path in paths:
             job_id = path.name[:-len(".claim")]
@@ -290,7 +290,7 @@ class ServiceFsck:
                         f"{view.worker!r}, attempt={view.attempts - 1})",
                         requeue=view)
 
-    def _claim_violation(self, check: str, path: pathlib.Path,
+    def _claim_violation(self, check: str, path: os.PathLike,
                          job_id: str, detail: str,
                          requeue=None) -> None:
         repair = "quarantine the claim"
@@ -325,10 +325,7 @@ class ServiceFsck:
                 finding.repaired = True
 
     def _check_stray_workdirs(self) -> None:
-        results_dir = self.queue.results_dir
-        if not results_dir.is_dir():
-            return
-        for path in sorted(results_dir.glob("*.tmp-*")):
+        for path in _listing(self.queue.results_dir, "*.tmp-*"):
             finding = self._found(
                 "stray-workdir",
                 "abandoned work directory (crash mid-execution or at "
@@ -341,9 +338,7 @@ class ServiceFsck:
 
     def _check_cache(self) -> None:
         cache_dir = self.queue.cache_dir
-        if not cache_dir.is_dir():
-            return
-        for path in sorted(cache_dir.glob("*.tmp")):
+        for path in _listing(cache_dir, "*.tmp"):
             finding = self._found(
                 "stray-cache-tmp",
                 "abandoned cache write (crash at cache.put)",
@@ -352,10 +347,11 @@ class ServiceFsck:
             if self.repair:
                 self._quarantine(path)
                 finding.repaired = True
-        for path in sorted(cache_dir.glob("*.json")):
+        for path in _listing(cache_dir, "*.json"):
             self.checked["cache_entries"] += 1
             try:
-                entry = json.loads(path.read_text())
+                with open(path) as fh:
+                    entry = json.loads(fh.read())
             except (OSError, ValueError) as exc:
                 self._cache_violation(
                     "cache-corrupt", path,
@@ -373,14 +369,14 @@ class ServiceFsck:
                     "cache-corrupt", path,
                     f"embedded spec unreadable: {exc}")
                 continue
-            if key != path.stem:
+            if key != _stem(path.name):
                 self._cache_violation(
                     "cache-incoherent", path,
                     f"embedded spec hashes to {key[:12]}…, not the "
                     "entry's file name — the bytes answer a different "
                     "question than the address asks")
 
-    def _cache_violation(self, check: str, path: pathlib.Path,
+    def _cache_violation(self, check: str, path: os.PathLike,
                          detail: str) -> None:
         finding = self._found(check, detail, path=self._rel(path),
                               repairable=True,
@@ -395,10 +391,7 @@ class ServiceFsck:
         truncated with the fragment quarantined, and a spool with
         unparseable *interior* lines is quarantined whole — the
         aggregator must never fold half-trusted records."""
-        tdir = spool_dir(self.queue.root)
-        if not tdir.is_dir():
-            return
-        for path in sorted(tdir.glob("*.jsonl")):
+        for path in _listing(spool_dir(self.queue.root), "*.jsonl"):
             self.checked["telemetry_spools"] += 1
             spool = AppendLog(path, durable=self.queue.durable)
             torn = spool.torn_tail()
@@ -438,13 +431,13 @@ class ServiceFsck:
         get_metrics().counter("service.fsck.violations", check=check).inc()
         return finding
 
-    def _rel(self, path: "pathlib.Path | str") -> str:
+    def _rel(self, path: "os.PathLike | str") -> str:
         try:
             return str(pathlib.Path(path).relative_to(self.queue.root))
         except ValueError:
             return str(path)
 
-    def _quarantine(self, path: pathlib.Path) -> None:
+    def _quarantine(self, path: os.PathLike) -> None:
         """Move evidence under ``quarantine/`` (sub-tree preserved,
         numeric suffix on collision); never delete."""
         quarantine(path, self.queue.root / QUARANTINE_DIR, self._rel(path))
@@ -469,6 +462,31 @@ class ServiceFsck:
             "clean": not violations,
             "ok": not unrepaired,
         }
+
+
+def _listing(directory: pathlib.Path, pattern: str) -> "list[os.DirEntry]":
+    """The entries of ``directory`` whose names match ``pattern``
+    (``*`` wildcards, case-sensitive), sorted by name: what
+    ``sorted(directory.glob(pattern))`` lists, hidden names, dirs and
+    broken symlinks included, without a path object per entry or per
+    comparison.  An entry is a path (``os.fspath``) with a ``name`` and
+    an ``is_dir()`` that follows symlinks.  A missing or unreadable
+    directory lists nothing."""
+    try:
+        with os.scandir(directory) as it:
+            entries = [entry for entry in it
+                       if fnmatch.fnmatchcase(entry.name, pattern)]
+    except OSError:
+        return []
+    entries.sort(key=lambda entry: entry.name)
+    return entries
+
+
+def _stem(name: str) -> str:
+    """``PurePath(name).stem``: a name that is only a suffix, like
+    ``.json``, keeps it."""
+    cut = name.rfind(".")
+    return name[:cut] if 0 < cut < len(name) - 1 else name
 
 
 def verify_service(directory: "str | os.PathLike | None" = None,

@@ -4,17 +4,22 @@ These tests carry the properties the crash analyzer used to prove per
 call site: no durability syscall outside this module, fsync before the
 publishing rename, and descriptors released on every failure path.
 AppendLog's torn-tail behaviour is pinned through its two users
-(tests/test_service_fsck.py, tests/test_service_telemetry.py).
+(tests/test_service_fsck.py, tests/test_service_telemetry.py); its line
+decoding is held here to a plain decode of every line.
 """
 
 from __future__ import annotations
 
 import ast
 import contextlib
+import json
 import os
 import pathlib
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.chaos import ChaosInjector, ChaosSpec, SitePolicy, chaos_active
@@ -235,3 +240,97 @@ def leaked_descriptors(tmp_path, monkeypatch,
                     reason="needs /proc/self/fd")
 def test_no_descriptor_leaks_on_any_failure(tmp_path, monkeypatch):
     assert leaked_descriptors(tmp_path, monkeypatch) == []
+
+
+# -- AppendLog.read_from decodes every line like json.loads ------------
+
+
+def reference_read(data: bytes, line: int = 0) -> tuple:
+    """``read_from``'s fields for ``data`` read after ``line`` lines,
+    by the plainest loop: split on newlines and decode each terminated
+    line on its own.  The decoder is ``json.loads`` minus the BOM
+    pre-check it adds for ``str`` input, so a line opening with a BOM
+    is worded "Expecting value", as the journal has always worded it."""
+    decode = json.JSONDecoder().decode
+    lines = data.split(b"\n")
+    torn = lines.pop() != b""
+    records, numbers, damaged = [], [], []
+    for number, text in enumerate(lines, line + 1):
+        if not text:
+            continue
+        try:
+            record = decode(text.decode("utf-8"))
+        except (ValueError, RecursionError) as exc:
+            damaged.append(f"{number}: unparseable line ({exc})")
+            continue
+        if not isinstance(record, dict):
+            damaged.append(f"{number}: line is {type(record).__name__}, "
+                           "expected object")
+            continue
+        records.append(record)
+        numbers.append(number)
+    return (records, numbers, damaged, torn, data.rfind(b"\n") + 1,
+            line + len(lines))
+
+
+_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+
+#: Far past any recursion limit, so the verdict does not hang on how
+#: deep the caller's stack already is.
+_DEEP = 100_000
+
+_LINES = st.one_of(
+    st.binary(max_size=30),
+    st.builds(lambda v: json.dumps(v).encode(), _VALUES),
+    st.builds(lambda pre, v, post: pre + json.dumps(v).encode() + post,
+              st.sampled_from([b"", b" ", b"\t", b"\r", b"\xef\xbb\xbf",
+                               b"\x00", b"{}"]),
+              st.dictionaries(st.text(max_size=4), _VALUES, max_size=3),
+              st.sampled_from([b"", b" ", b"\r", b" x", b"{}", b",",
+                               b"\xff"])),
+    st.sampled_from([
+        b"{} x", b"{}{}", b"[1]", b"1", b"null", b'"s"', b"NaN",
+        b'{"a":NaN}', b'{"a":Infinity}', b"\xef\xbb\xbf{}", b"\xff\xfe{}",
+        b'{"a":"\xe9"}', b'{"a":"\\ud800"}', b'{"a":"\x01"}',
+        b"[" * _DEEP + b"]" * _DEEP, b'{"a":' * _DEEP + b"1" + b"}" * _DEEP,
+        b'{"a":' * 50 + b"1" + b"}" * 50]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(lines=st.lists(_LINES, max_size=8), tail=st.binary(max_size=12),
+       split=st.integers(0, 8))
+def test_read_from_decodes_every_line_like_json_loads(lines, tail, split):
+    """Any file bytes, a torn tail included, read whole or from a line
+    boundary: the records, line numbers, damage messages, torn flag,
+    offset and line count are those of a plain decode of each line."""
+    data = b"".join(line + b"\n" for line in lines) + tail
+    # A boundary ``split`` terminated lines in (never mid-line).
+    cut = 0
+    for _ in range(split):
+        nl = data.find(b"\n", cut)
+        if nl < 0:
+            break
+        cut = nl + 1
+    prior = data[:cut].count(b"\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "log.jsonl"
+        path.write_bytes(data)
+        log = AppendLog(path)
+        whole = log.read_from()
+        part = log.read_from(whole.ino, cut, prior)
+    assert _fields(whole) == reference_read(data)
+    records, numbers, damaged, torn, offset, line = reference_read(
+        data[cut:], prior)
+    assert _fields(part) == (records, numbers, damaged, torn, cut + offset,
+                             line)
+    assert not part.rewound
+
+
+def _fields(tail) -> tuple:
+    return (tail.records, tail.numbers, tail.damaged, tail.torn,
+            tail.offset, tail.line)

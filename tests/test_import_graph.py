@@ -1,8 +1,9 @@
 """Each entry point imports only what it runs.
 
-``repro``, ``repro.platform`` and ``repro.apps`` resolve their
-re-exports on first access, so ``repro --help`` loads no numpy, the
-service's read-only verbs load none of the paper model, submitting or
+``repro``, ``repro.platform``, ``repro.apps``, ``repro.service`` and
+``repro.perf`` resolve their re-exports on first access, so ``repro
+--help`` loads no numpy, the service's read-only verbs load none of
+the paper model and none of the machinery that runs jobs, submitting or
 verifying a job loads no noise model, and no verb that never samples
 a distribution loads ``scipy``.  Each case runs in a fresh interpreter
 so nothing the suite imported earlier can hide a load.
@@ -20,12 +21,17 @@ import pytest
 
 import repro
 import repro.apps
+import repro.perf
 import repro.platform
+import repro.service
 
 SRC = pathlib.Path(repro.__file__).parent.parent
 
 #: The model subpackages a service read never needs.
 MODEL = ("apps", "experiments", "runtime", "mckernel", "net", "noise")
+#: The modules that run jobs, which a service read never needs either.
+RUNNERS = ("repro.engine", "repro.service.worker", "repro.service.fleet",
+           "repro.perf.executor")
 
 
 def _loaded(cwd: pathlib.Path, code: str) -> list[str]:
@@ -103,8 +109,18 @@ def test_submit_loads_no_scipy(drained, tmp_path, argv):
     assert _under(modules, "repro.noise", "repro.apps.fwq") == []
 
 
-@pytest.mark.parametrize("package", [repro, repro.platform, repro.apps],
-                         ids=["repro", "repro.platform", "repro.apps"])
+@pytest.mark.parametrize("argv", [("status",), ("service", "verify"),
+                                  ("service", "report")],
+                         ids=["status", "service-verify", "service-report"])
+def test_service_reads_load_nothing_that_runs_jobs(drained, argv):
+    modules = _loaded(drained, _cli(*argv, "--dir", str(drained / "svc")))
+    assert _under(modules, *RUNNERS) == []
+
+
+@pytest.mark.parametrize(
+    "package", [repro, repro.platform, repro.apps, repro.service, repro.perf],
+    ids=["repro", "repro.platform", "repro.apps", "repro.service",
+         "repro.perf"])
 def test_every_lazy_export_resolves_and_is_listed(package):
     listed = dir(package)
     for name in package.__all__:

@@ -23,9 +23,15 @@ from repro.errors import (
     ServiceError,
 )
 from repro.faults.tolerance import RetryPolicy
-from repro.obs.export import ensure_valid_chrome_trace
-from repro.obs.fleet import DEFAULT_SLO, FleetAggregator, load_slo
+from repro.obs.export import chrome_trace_json, ensure_valid_chrome_trace
+from repro.obs.fleet import (
+    DEFAULT_SLO,
+    REPORT_FORMAT_VERSION,
+    FleetAggregator,
+    load_slo,
+)
 from repro.obs.spool import TelemetrySpool, spool_dir
+from repro.obs.tracer import Tracer
 from repro.platform import RunSpec, get_platform
 from repro.service import JobQueue, JobSpec, Worker, serve
 
@@ -103,6 +109,51 @@ def _golden_service(root):
     return queue
 
 
+def chrome_via_tracer(jobs: list) -> str:
+    """The Chrome timeline of a report's ``jobs`` the way
+    ``FleetAggregator.chrome`` once built it: one tracer event per
+    span, then :func:`chrome_trace_json` over the tracer."""
+    tracer = Tracer()
+    for job in jobs:
+        for span in job["spans"]:
+            tracer.event("service", span["name"],
+                         ts=tracer.advance("service"), actor=job["job"],
+                         lc=span["lc"])
+    return chrome_trace_json(
+        tracer, metadata={"reportFormatVersion": REPORT_FORMAT_VERSION,
+                          "source": "repro service report"})
+
+
+def _every_state(root):
+    """A service dir holding a job in each of the six states."""
+    queue = JobQueue(root, durable=False,
+                     retry=RetryPolicy(max_retries=1, backoff_base=0.0))
+    ids = [queue.submit(JobSpec.for_experiment("eq1", seed=seed))
+           for seed in range(6)]
+    assert queue.claim_next("w1")[0] == ids[0]
+    queue.mark_running(ids[0], "w1", 0)
+    queue.complete(ids[0], "w1", 0)
+    for attempt in range(2):
+        assert queue.claim_next("w1")[0] == ids[1]
+        queue.fail_attempt(ids[1], "w1", attempt, "boom")
+    assert queue.claim_next("w1")[0] == ids[2]
+    queue.mark_running(ids[2], "w1", 0)
+    assert queue.claim_next("w2")[0] == ids[3]
+    assert queue.claim_next("w2")[0] == ids[4]
+    queue.fail_attempt(ids[4], "w2", 0, "flaky")
+    assert sorted(view.state.value for view in queue.table().values()) == [
+        "claimed", "done", "failed", "queued", "retrying", "running"]
+    return queue
+
+
+@pytest.mark.parametrize("build", [_every_state, _golden_service,
+                                   lambda root: JobQueue(root)],
+                         ids=["every-state", "golden", "empty"])
+def test_chrome_matches_the_tracer_render(tmp_path, build):
+    agg = FleetAggregator(build(tmp_path / "svc"))
+    assert agg.chrome() == chrome_via_tracer(agg.report()["jobs"])
+
+
 # -- the deterministic core ---------------------------------------------
 
 
@@ -145,6 +196,7 @@ def test_report_is_byte_identical_across_worker_counts_and_reruns(
 
     assert one.report_json() == fleet.report_json() == rerun.report_json()
     assert one.chrome() == fleet.chrome() == rerun.chrome()
+    assert fleet.chrome() == chrome_via_tracer(fleet.report()["jobs"])
     assert one.prometheus() == fleet.prometheus() == rerun.prometheus()
     # ... and aggregating the same directory twice is stable.
     assert one.report_json() == \

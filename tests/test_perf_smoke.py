@@ -16,7 +16,8 @@ Two kinds of entries land in the file:
   ``..._batched``, ``mpi_fwq_dense`` vs ``..._streamed``,
   ``table2_stats_dense`` vs ``..._sparse``, ``claim_next_cold`` vs
   ``..._memo``, ``fleet_renders_per_aggregator`` vs ``..._shared``,
-  ``summary_standalone`` vs ``summary_from_results``) — their ratio is
+  ``fleet_chrome_tracer`` vs ``..._direct``, ``summary_standalone`` vs
+  ``summary_from_results``) — their ratio is
   machine-independent, so the budget ``min_speedup``/``vs`` rules on
   them are the hard CI gates.
 """
@@ -47,6 +48,8 @@ from repro.platform import get_platform
 from repro.platform.resolve import build, sweep_platform_apps
 from repro.runtime.runner import AppRunner
 from repro.service import JobQueue, JobSpec, job_id_for
+
+from .test_obs_fleet import chrome_via_tracer
 
 FIGURES = ["fig5", "fig6", "fig7"]
 ROUNDS = 4  # regeneration rounds: an edit-render-inspect loop
@@ -342,6 +345,25 @@ def test_fleet_renders_share_one_manifest_scan(tmp_path):
     print(f"\nfleet renders over 1000 DONE jobs: per aggregator "
           f"{t_per * 1e3:.1f} ms, shared {t_shared * 1e3:.1f} ms -> "
           f"{t_per / t_shared:.2f}x")
+
+
+@pytest.mark.perfsmoke
+def test_fleet_chrome_renders_without_a_tracer(tmp_path):
+    """Same-run pair: ``FleetAggregator.chrome``, which formats each
+    event straight into its canonical text, against the tracer render
+    it replaced (a ``TraceSpan`` and a dict per event, then one
+    sorted-keys dump), on the same 4,000-event timeline.  The ratio is
+    a hard ``vs`` budget gate."""
+    _done_dir(tmp_path, jobs=1000)
+    agg = FleetAggregator.from_service_dir(tmp_path)
+    jobs = agg.report()["jobs"]
+    assert agg.chrome() == chrome_via_tracer(jobs)
+    t_tracer = _best_of(5, lambda: chrome_via_tracer(jobs))
+    t_direct = _best_of(5, agg.chrome)
+    _record(fleet_chrome_tracer=t_tracer, fleet_chrome_direct=t_direct)
+    print(f"\nchrome render of 4000 events: tracer "
+          f"{t_tracer * 1e3:.1f} ms, direct {t_direct * 1e3:.1f} ms -> "
+          f"{t_tracer / t_direct:.2f}x")
 
 
 @pytest.mark.perfsmoke

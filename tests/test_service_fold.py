@@ -379,14 +379,15 @@ def _with_journal(drained, root, lines):
     return root
 
 
-def _readers(root):
-    """The exit codes of ``status``, ``service verify`` and ``service
-    report`` over ``root``, with what they printed; an exception
-    escapes."""
+def _readers(root, *more):
+    """The exit codes of ``status``, ``service verify``, ``service
+    report`` and then each of ``more`` over ``root``, with what they
+    printed; an exception escapes."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         codes = [main([*argv, "--dir", str(root)]) for argv in (
-            ["status"], ["service", "verify"], ["service", "report"])]
+            ["status"], ["service", "verify"], ["service", "report"],
+            *more)]
     return codes, out.getvalue(), err.getvalue()
 
 
@@ -425,23 +426,46 @@ _JSON = st.recursive(
     max_leaves=6)
 
 
+#: Spool lines: any bytes, or a record of a kind the aggregator reads
+#: with any JSON value in one of its fields.
+_SPOOL_LINES = st.binary(max_size=40) | st.builds(
+    lambda kind, key, value: canonical_json(
+        {"kind": kind, "source": "w0", key: value}).encode(),
+    st.sampled_from(["event", "metrics", "segment"]),
+    st.sampled_from(["dropped", "events", "job", "kind", "layers"]), _JSON)
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_readers_survive_any_field_value_and_interior_bytes(drained, data):
-    """Any JSON value in any record field, or any bytes in place of an
-    interior line: each reader exits 0, 1 or 2, never a traceback."""
+    """Any JSON value in any record field, any bytes in place of an
+    interior line, or any lines and a torn tail in a telemetry spool:
+    each reader exits 0, 1 or 2, never a traceback."""
     lines = (drained / "journal.jsonl").read_bytes().splitlines(
         keepends=True)
     fields = sorted({key for line in lines for key in json.loads(line)})
-    index = data.draw(st.integers(0, len(lines) - 2), label="line")
-    if data.draw(st.booleans(), label="bytes"):
-        lines[index] = data.draw(st.binary(max_size=40)) + b"\n"
+    damage = data.draw(st.sampled_from(["bytes", "field", "spool"]),
+                       label="damage")
+    spool = b""
+    if damage == "spool":
+        spool = b"".join(line + b"\n" for line in data.draw(
+            st.lists(_SPOOL_LINES, max_size=4), label="spool"))
+        spool += data.draw(st.binary(max_size=12), label="spool tail")
     else:
-        record = json.loads(lines[index])
-        record[data.draw(st.sampled_from(fields))] = data.draw(_JSON)
-        lines[index] = (canonical_json(record) + "\n").encode()
+        index = data.draw(st.integers(0, len(lines) - 2), label="line")
+        if damage == "bytes":
+            lines[index] = data.draw(st.binary(max_size=40)) + b"\n"
+        else:
+            record = json.loads(lines[index])
+            record[data.draw(st.sampled_from(fields))] = data.draw(_JSON)
+            lines[index] = (canonical_json(record) + "\n").encode()
     with tempfile.TemporaryDirectory() as tmp:
-        codes, _, err = _readers(_with_journal(
-            drained, pathlib.Path(tmp) / "svc", lines))
+        root = _with_journal(drained, pathlib.Path(tmp) / "svc", lines)
+        if spool:
+            (root / "telemetry").mkdir()
+            (root / "telemetry" / "w0.jsonl").write_bytes(spool)
+        codes, _, err = _readers(
+            root, ["service", "report", "--format", "prom"],
+            ["service", "report", "--check"], ["service", "top"])
     assert set(codes) <= {0, 1, 2}, err
     assert "Traceback" not in err

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import json
 import os
+import pathlib
+import shutil
 
 import pytest
 
@@ -19,6 +21,7 @@ from repro.service import (
     Worker,
     verify_service,
 )
+from repro.service import fsck
 from repro.service.fsck import report_json
 
 
@@ -253,6 +256,91 @@ def test_stray_cache_tmp_quarantined(tmp_path):
     report = verify_service(queue.root, repair=True)
     assert _checks(report) == ["stray-cache-tmp"]
     assert not debris.exists()
+
+
+# -- what each check lists ---------------------------------------------
+
+
+def glob_listing(directory, pattern):
+    """The listing every check made before it read directories with
+    ``os.scandir``: ``sorted(Path.glob(pattern))``."""
+    return sorted(pathlib.Path(directory).glob(pattern))
+
+
+def _plant_listing_corners(queue, elsewhere):
+    """A drained directory holding, in every listed directory, the
+    names and entry kinds a listing can get wrong."""
+    ids = [queue.submit(JobSpec.for_experiment("eq1")),
+           queue.submit(JobSpec.for_specs([_spec()])),
+           queue.submit(JobSpec.for_specs([_spec(seed=4)]))]
+    _drain(queue)
+    elsewhere.mkdir()
+    jobs, results = queue.jobs_dir, queue.results_dir
+    (jobs / "x.json").mkdir()
+    (jobs / ".hidden.json").write_text((jobs / f"{ids[0]}.json").read_text())
+    (jobs / ".json").write_text("{}")
+    (jobs / "notes.txt").write_text("not an artifact")
+    os.replace(jobs / f"{ids[1]}.json", elsewhere / "artifact.json")
+    (jobs / f"{ids[1]}.json").symlink_to(elsewhere / "artifact.json")
+    (jobs / f"{ids[2]}.json").unlink()
+    (jobs / f"{ids[2]}.json").symlink_to(elsewhere / "gone.json")
+    os.replace(results / ids[2], elsewhere / "result")
+    (results / ids[2]).symlink_to(elsewhere / "result")
+    (results / "ghost").symlink_to(elsewhere / "gone")
+    (results / ".hidden").mkdir()
+    (results / f"{ids[0]}.tmp-w-0").mkdir()
+    (results / "junk.tmp-1").write_text("")
+    (queue.claims_dir / "x.claim").write_text("{}")
+    (queue.claims_dir / "x.claim.bak").write_text("{}")
+    (queue.cache_dir / ".json").write_text("{}")
+    (queue.cache_dir / ".tmp").write_text("")
+    (queue.cache_dir / "entry.json").mkdir()
+    (queue.root / "telemetry").mkdir()
+    (queue.root / "telemetry" / ".jsonl").write_text('{"kind":"event"}\n')
+    return ids
+
+
+@pytest.mark.parametrize("repair", [False, True], ids=["verify", "repair"])
+def test_listings_match_the_glob_listing(tmp_path, monkeypatch, repair):
+    """Each planted corner gives the findings and ``checked`` counts
+    the ``Path.glob`` listing gave, with and without repairs."""
+    queue = _queue(tmp_path)
+    ids = _plant_listing_corners(queue, tmp_path / "elsewhere")
+    snapshot = tmp_path / "snapshot"
+    shutil.copytree(queue.root, snapshot, symlinks=True)
+    report = verify_service(queue.root, repair=repair)
+    shutil.rmtree(queue.root)
+    shutil.copytree(snapshot, queue.root, symlinks=True)
+    monkeypatch.setattr(fsck, "_listing", glob_listing)
+    assert report == verify_service(queue.root, repair=repair)
+    assert report["checked"] == {
+        "cache_entries": 4, "claims": 1, "jobs": 3, "journal_records": 12,
+        "results": 4, "telemetry_spools": 1}
+    assert [(v["check"], v["job"], v["path"])
+            for v in report["violations"]] == [
+        ("artifact-corrupt", ids[2], f"jobs/{ids[2]}.json"),
+        ("orphan-artifact", ".hidden", "jobs/.hidden.json"),
+        ("orphan-artifact", ".json", "jobs/.json"),
+        ("orphan-artifact", "x", "jobs/x.json"),
+        ("orphan-result", ".hidden", "results/.hidden"),
+        ("orphan-claim", "x", "claims/x.claim"),
+        ("stray-workdir", "", f"results/{ids[0]}.tmp-w-0"),
+        ("stray-workdir", "", "results/junk.tmp-1"),
+        ("stray-cache-tmp", "", "cache/.tmp"),
+        ("cache-corrupt", "", "cache/entry.json")]
+
+
+@pytest.mark.parametrize("missing", ["jobs", "results"])
+def test_a_missing_directory_lists_nothing(tmp_path, missing):
+    queue = _queue(tmp_path)
+    job_id = queue.submit(JobSpec.for_experiment("eq1"))
+    _drain(queue)
+    shutil.rmtree(queue.root / missing)
+    report = verify_service(queue.root)
+    assert _checks(report) == [{"jobs": "artifact-missing",
+                                "results": "missing-result"}[missing]]
+    assert report["violations"][0]["job"] == job_id
+    assert report["checked"][missing] == {"jobs": 1, "results": 0}[missing]
 
 
 # -- the torn-journal property sweep ------------------------------------
