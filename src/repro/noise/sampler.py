@@ -12,10 +12,14 @@ Two samplers cover the paper's measurement modes:
   what makes N = 7,630,848 (full Fugaku) tractable.
 
 The MPI-parallel FWQ's in-situ reduction, :func:`stream_worst_nodes`,
-ranks many simulated nodes through one reused timeline row and keeps
-only the worst nodes' events (Figure 4).  :func:`pooled_fwq_stats`
-reduces the pooled multi-core series to Table 2's statistics from the
-charged iterations alone.  Both match the dense
+ranks many simulated nodes and keeps only the worst nodes' events
+(Figure 4).  :func:`pooled_fwq_stats` reduces the pooled multi-core
+series to Table 2's statistics from the charged iterations alone.  Both
+sum rows that are almost all ``t_work`` with
+:func:`_pairwise_row_sums`, which replays numpy's pairwise
+``add.reduce`` tree, laid out once per row length, from the charged
+slots of a batch of rows; a node too dense for that pays less for one
+reused dense row and ``row.sum()``.  Both match the dense
 :func:`multi_core_fwq` timeline, which stays as their reference, bit
 for bit.
 
@@ -25,6 +29,7 @@ per-event Python loops on the hot paths.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -166,7 +171,7 @@ def pooled_fwq_stats(
       slot is uncharged, and every uncharged slot then contributes an
       exact ``+0.0`` to the Eq. 2 mean;
     * the mean's sum replays numpy's pairwise ``add.reduce`` tree over
-      the charged slots only (:func:`_sparse_pairwise_sum`).
+      the charged slots only (:func:`_pairwise_row_sums`).
     """
     slots, durations = _fwq_events(sources, t_work, n_iterations, n_cores,
                                    rng)
@@ -177,82 +182,229 @@ def pooled_fwq_stats(
     t_min = t_work if len(charged) < n else float(lengths.min())
     max_noise = float(lengths.max(initial=t_work)) - t_min
     rates = (lengths - t_min) / t_min
-    return t_min, max_noise, _sparse_pairwise_sum(charged, rates, n) / n
+    total = _pairwise_row_sums(_pairwise_tree(n), charged, rates, 1, 0.0)[0]
+    return t_min, max_noise, float(total) / n
 
 
 #: numpy's pairwise-summation leaf size (``PW_BLOCKSIZE``) and unroll.
 _PW_BLOCK = 128
 _PW_LANES = 8
+#: The most elements one lane of a leaf adds.
+_PW_STEPS = _PW_BLOCK // _PW_LANES
+#: The fewest elements a leaf below the root has: a run of more than 128
+#: splits into halves of at least 64.
+_PW_MIN_LEAF = _PW_BLOCK // 2
+#: Values :func:`_pairwise_row_sums` replays at once: their temporaries,
+#: about 210 bytes a value, stay under 2 MB.
+_REPLAY_CHUNK = 8192
+#: Costs behind :func:`stream_worst_nodes`' dense/sparse choice, measured
+#: on fig4's 553,840-slot rows (2-CPU VM): a dense row costs about
+#: 0.35 ns a slot (charge, ``row.sum()``, uncharge), and the sparse batch
+#: about 160 ns an event more than charging a dense row does.
+_DENSE_NS_PER_SLOT = 0.35
+_SPARSE_NS_PER_EVENT = 160.0
+#: Events per slot (about 2.2e-3) above which a dense row is cheaper.
+_SPARSE_DENSITY = _DENSE_NS_PER_SLOT / _SPARSE_NS_PER_EVENT
 
 
-def _sparse_pairwise_sum(positions: np.ndarray, values: np.ndarray,
-                         n: int) -> float:
-    """``np.add.reduce`` of a float64 array of length ``n`` that is
-    ``+0.0`` except for ``values`` at the sorted, unique ``positions``,
-    bit for bit, in time proportional to the values.
+@dataclass(frozen=True)
+class _PairwiseTree:
+    """numpy's ``add.reduce`` tree for one row length, as its leaves in
+    row order."""
 
-    numpy sums a contiguous float64 array with a fixed tree: a run of
-    more than 128 elements splits at ``n2 = n//2 - (n//2) % 8``; a leaf
-    sums 8 lane accumulators strided by 8, combines them as
-    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and adds the ``len % 8``
-    tail in order.  Adding ``+0.0`` is exact, so a subtree without
-    values contributes nothing and is never visited; the walk is
-    vectorised level by level.  ``values`` must not hold ``-0.0``.
-    """
-    if len(positions) == 0:
-        return 0.0
-    # Descend: each level holds the runs that contain values.  A run of
-    # more than 128 elements splits; ``children`` maps it to its left
-    # and right runs' indices in the next level (-1 for an empty one).
-    starts = np.zeros(1, dtype=np.int64)
-    sizes = np.array([n], dtype=np.int64)
-    splits: list[np.ndarray] = []
-    children: list[np.ndarray] = []
-    leaf_starts: list[np.ndarray] = []
-    leaf_sizes: list[np.ndarray] = []
-    while True:
-        split = sizes > _PW_BLOCK
-        splits.append(split)
-        leaf_starts.append(starts[~split])
-        leaf_sizes.append(sizes[~split])
-        if not split.any():
-            break
-        half = sizes[split] // 2
-        left = half - half % _PW_LANES
-        starts = np.stack([starts[split], starts[split] + left], axis=1)
-        sizes = np.stack([left, sizes[split] - left], axis=1)
-        occupied = (np.searchsorted(positions, starts + sizes)
-                    > np.searchsorted(positions, starts))
-        children.append(
-            np.where(occupied, np.cumsum(occupied).reshape(-1, 2) - 1, -1))
-        starts, sizes = starts[occupied], sizes[occupied]
-    # Leaves, in level order: lane sums, the lane combine, then the tail.
-    bounds = np.cumsum([0] + [len(s) for s in leaf_starts])
-    starts, sizes = np.concatenate(leaf_starts), np.concatenate(leaf_sizes)
-    order = np.argsort(starts)
-    leaf = order[np.searchsorted(starts[order], positions, side="right") - 1]
-    offset = positions - starts[leaf]
-    in_lanes = offset < sizes[leaf] - sizes[leaf] % _PW_LANES
-    lanes = np.zeros((len(starts), _PW_LANES))
-    np.add.at(lanes.reshape(-1),
-              leaf[in_lanes] * _PW_LANES + offset[in_lanes] % _PW_LANES,
-              values[in_lanes])
+    length: int
+    #: Each leaf's first element, then ``length``.
+    starts: np.ndarray
+    #: Each leaf's size (at most 128).
+    sizes: np.ndarray
+    #: Each leaf's slot in the bottom level of the padded perfect binary
+    #: tree; a leaf above the bottom takes the leftmost slot of its range.
+    slots: np.ndarray
+    #: The padded tree's depth.
+    depth: int
+    #: Per 64-element block, the leaf holding its first element.  Below
+    #: the root every leaf has at least 64 elements, so a block meets at
+    #: most that leaf and the next.
+    blocks: np.ndarray
+
+    def leaf_of(self, positions: np.ndarray) -> np.ndarray:
+        """The leaf holding each position."""
+        leaf = self.blocks[positions // _PW_MIN_LEAF]
+        return leaf + (positions >= self.starts[leaf + 1])
+
+
+@functools.lru_cache(maxsize=1)
+def _pairwise_tree(n: int) -> _PairwiseTree:
+    """The tree numpy sums a contiguous float64 run of ``n`` with: a run
+    of more than 128 elements splits at ``n2 = n//2 - (n//2) % 8`` into
+    two runs, and a run of at most 128 is a leaf.
+
+    One length is cached, with 32-bit indices where ``n`` allows:
+    callers sum rows of one length at a time, and Table 2's 8.9M-slot
+    row has 124,652 leaves that need not outlive its rows."""
+    index = np.int32 if n < 2**31 else np.int64
+    sizes, slots, depth = _layout(n, {}, index)
+    starts = np.zeros(len(sizes) + 1, dtype=index)
+    np.cumsum(sizes, dtype=index, out=starts[1:])
+    first_block = -(-starts // _PW_MIN_LEAF)
+    blocks = np.repeat(np.arange(len(sizes), dtype=index),
+                       np.diff(first_block))
+    for a in (starts, sizes, slots, blocks):
+        a.flags.writeable = False
+    return _PairwiseTree(n, starts, sizes, slots, depth, blocks)
+
+
+def _layout(size: int, memo: dict, index: type,
+            ) -> tuple[np.ndarray, np.ndarray, int]:
+    """The leaf sizes and padded-tree slots (of dtype ``index``) of a run
+    of ``size``, and its padded depth.  A subtree depends on its run's
+    size alone, and each level holds only a few sizes, so ``memo`` lays
+    each out once."""
+    if size not in memo:
+        if size <= _PW_BLOCK:
+            memo[size] = (np.array([size], dtype=np.uint8),
+                          np.zeros(1, dtype=index), 0)
+        else:
+            half = size // 2
+            left = half - half % _PW_LANES
+            l_sizes, l_slots, l_depth = _layout(left, memo, index)
+            r_sizes, r_slots, r_depth = _layout(size - left, memo, index)
+            depth = 1 + max(l_depth, r_depth)
+            memo[size] = (
+                np.concatenate([l_sizes, r_sizes]),
+                np.concatenate([
+                    l_slots << (depth - 1 - l_depth),
+                    (r_slots << (depth - 1 - r_depth)) + (1 << depth - 1)]),
+                depth)
+    return memo[size]
+
+
+def _leaf_sums(lanes: np.ndarray, tails: np.ndarray) -> np.ndarray:
+    """numpy's leaf sums from each leaf's 8 lane sums (``(leaves, 8)``)
+    and its tail elements (``(at most 7, leaves)``), added in order."""
     r = lanes.T
-    leaf_sums = (((r[0] + r[1]) + (r[2] + r[3]))
-                 + ((r[4] + r[5]) + (r[6] + r[7])))
-    np.add.at(leaf_sums, leaf[~in_lanes], values[~in_lanes])
-    # Ascend: a split run sums to its left child's sum plus its right's.
-    below = np.zeros(0)
-    for depth in reversed(range(len(splits))):
-        split = splits[depth]
-        sums = np.empty(len(split))
-        sums[~split] = leaf_sums[bounds[depth]:bounds[depth + 1]]
-        if depth < len(children):
-            padded = np.append(below, 0.0)  # index -1 reads this +0.0
-            pair = children[depth]
-            sums[split] = padded[pair[:, 0]] + padded[pair[:, 1]]
-        below = sums
-    return float(below[0])
+    sums = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for tail in tails:
+        sums += tail
+    return sums
+
+
+def _background_sums(background: float) -> tuple[np.ndarray, ...]:
+    """For each leaf size 0-128 over a row of ``background``: each tail
+    element (``(7, 129)``, ``+0.0`` past the tail's end), a lane's sum
+    and the leaf's sum."""
+    size = np.arange(_PW_BLOCK + 1)
+    prefix = np.zeros(_PW_STEPS + 1)
+    for k in range(_PW_STEPS):
+        prefix[k + 1] = prefix[k] + background
+    lane = prefix[size // _PW_LANES]
+    tails = np.where(np.arange(_PW_LANES - 1)[:, None] < size % _PW_LANES,
+                     background, 0.0)
+    return tails, lane, _leaf_sums(np.repeat(lane[:, None], _PW_LANES, 1),
+                                   tails)
+
+
+def _pairwise_row_sums(tree: _PairwiseTree, keys: np.ndarray,
+                       values: np.ndarray, n_rows: int,
+                       background: float) -> np.ndarray:
+    """``np.add.reduce`` of each row of an ``(n_rows, tree.length)``
+    float64 array that is ``background`` except for ``values`` at the
+    sorted, unique flat indices ``keys``, bit for bit, in time
+    proportional to the values plus the rows' leaves.
+
+    numpy sums a contiguous float64 row with a fixed tree
+    (:func:`_pairwise_tree`).  A leaf of ``s`` elements sums 8 lane
+    accumulators, lane ``j`` adding elements ``j, j+8, ...`` below ``s -
+    s % 8`` in order; it combines them as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and adds the ``s % 8`` tail
+    in order.  Only the lanes and tails that hold a value are replayed,
+    at most 16 adds each; every other lane and leaf sums to a constant
+    of the leaf's size.  The leaves then ascend the padded perfect tree,
+    where each add of the padding's ``+0.0`` is exact.  Neither
+    ``background`` nor ``values`` may be ``-0.0``.
+    """
+    # The occupied leaves' sums, a bounded number of values at a time;
+    # each cut moves back to the start of its leaf.
+    cuts = keys[_REPLAY_CHUNK::_REPLAY_CHUNK]
+    positions = cuts % max(tree.length, 1)
+    leaf = tree.leaf_of(positions)
+    bounds = [0, *np.searchsorted(keys, cuts - positions + tree.starts[leaf]),
+              len(keys)]
+    tails, lane, leaf = _background_sums(background)
+    where, sums = (np.concatenate(parts) for parts in zip(*(
+        _occupied_leaf_sums(tree, keys[lo:hi], values[lo:hi], background,
+                            tails, lane)
+        for lo, hi in zip(bounds[:-1], bounds[1:]))))
+    # Ascend each row's padded tree, in chunks of rows that together
+    # take no more room than one dense row.
+    base = np.zeros(1 << tree.depth)
+    base[tree.slots] = leaf[tree.sizes]
+    per_chunk = max(1, tree.length // len(base))
+    totals = np.empty(n_rows)
+    for first in range(0, n_rows, per_chunk):
+        rows = np.empty((min(per_chunk, n_rows - first), len(base)))
+        rows[:] = base
+        lo, hi = np.searchsorted(where, [first * len(base),
+                                         (first + len(rows)) * len(base)])
+        rows.reshape(-1)[where[lo:hi] - first * len(base)] = sums[lo:hi]
+        while rows.shape[1] > 1:
+            rows = rows[:, 0::2] + rows[:, 1::2]
+        totals[first:first + len(rows)] = rows[:, 0]
+    return totals
+
+
+def _occupied_leaf_sums(tree: _PairwiseTree, keys: np.ndarray,
+                        values: np.ndarray, background: float,
+                        tail_terms: np.ndarray, lane: np.ndarray,
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """The sums of the leaves that hold ``values`` (whole leaves, in
+    :func:`_pairwise_row_sums`' terms), with each one's flat index
+    ``row * 2**depth + slot`` in the rows' padded trees, given the
+    background's :func:`_background_sums`."""
+    rows, positions = np.divmod(keys, max(tree.length, 1))
+    leaf = tree.leaf_of(positions)
+    offset = positions - tree.starts[leaf]
+    body = tree.sizes[leaf] // _PW_LANES * _PW_LANES
+    in_lanes = offset < body
+    # Occupied leaves in (row, leaf) order: the keys are sorted, so the
+    # values of one leaf are one run.
+    run = rows * len(tree.sizes) + leaf
+    new = np.ones(len(run), dtype=bool)
+    np.not_equal(run[1:], run[:-1], out=new[1:])
+    at = np.cumsum(new) - 1
+    sizes = tree.sizes[leaf[new]]
+    # Occupied lanes, longest first: each step adds the background to a
+    # prefix of them, and a value instead where it holds one.
+    lane_key = at[in_lanes] * _PW_LANES + offset[in_lanes] % _PW_LANES
+    hit = np.zeros(len(sizes) * _PW_LANES, dtype=bool)
+    hit[lane_key] = True
+    lanes = np.flatnonzero(hit)
+    steps = sizes[lanes // _PW_LANES] // _PW_LANES
+    lanes = lanes[np.argsort(_PW_STEPS - steps, kind="stable")]
+    # reach[k]: the lanes of at least k steps.
+    reach = np.cumsum(np.bincount(steps, minlength=_PW_STEPS + 1)[::-1])[::-1]
+    lane_at = np.empty(len(hit), dtype=np.int64)
+    lane_at[lanes] = np.arange(len(lanes))
+    lane_at = lane_at[lane_key]
+    step = (offset[in_lanes] // _PW_LANES).astype(np.uint8)
+    by_step = np.argsort(step, kind="stable")
+    bounds = np.zeros(_PW_STEPS + 1, dtype=np.int64)
+    np.cumsum(np.bincount(step, minlength=_PW_STEPS), out=bounds[1:])
+    lane_values = values[in_lanes]
+    acc = np.zeros(len(lanes))
+    for k in range(_PW_STEPS):
+        these = by_step[bounds[k]:bounds[k + 1]]
+        hold = lane_at[these]
+        held = acc[hold] + lane_values[these]
+        acc[:reach[k + 1]] += background
+        acc[hold] = held
+    lane_sums = np.repeat(lane[sizes][:, None], _PW_LANES, 1)
+    lane_sums.reshape(-1)[lanes] = acc
+    tails = tail_terms[:int((sizes % _PW_LANES).max(initial=0)), sizes]
+    in_tail = ~in_lanes
+    tails[(offset - body)[in_tail], at[in_tail]] = values[in_tail]
+    where = (rows[new] << tree.depth) + tree.slots[leaf[new]]
+    return where, _leaf_sums(lane_sums, tails)
 
 
 def worst_nodes(
@@ -309,11 +461,13 @@ def stream_worst_nodes(
 
     Selects what ``worst_nodes(multi_core_fwq(sources, t_work,
     n_iterations, n_nodes, rng), keep)`` does without building the
-    ``(n_nodes, n_iterations)`` array.  Draws the same stream as
-    :func:`multi_core_fwq` and charges each node into one reused row,
-    recording the row's sum and maximum.  A slot's updates arrive in
-    the same order and a contiguous row sums like one row of the dense
-    array, so every total, the ranking (ties included) and every kept
+    ``(n_nodes, n_iterations)`` array, from the same stream as
+    :func:`multi_core_fwq`.  A node with at most
+    ``_SPARSE_DENSITY * n_iterations`` events joins one batch whose row
+    sums :func:`_pairwise_row_sums` replays from the charged slots; a
+    denser node is charged into one reused row and summed.  A slot's
+    updates arrive in the same order and each sum follows numpy's own
+    tree, so every total, the ranking (ties included) and every kept
     row match the dense path bit for bit.  Only the kept nodes' events
     are returned.
     """
@@ -322,19 +476,38 @@ def stream_worst_nodes(
     if keep <= 0:
         raise ConfigurationError("keep must be positive")
     _check_fwq_shape(t_work, n_iterations)
+    # Looked up before any row is charged: the cache holds one length,
+    # so a previous length's tree is dropped before the dense rows peak.
+    tree = _pairwise_tree(n_iterations)
     totals = np.empty(n_nodes)
     maxima = np.empty(n_nodes)
     events = []
+    sparse = []
     row = np.full(n_iterations, t_work, dtype=float)
     for node, (idx, durations) in enumerate(
             _node_events(sources, t_work, n_iterations, n_nodes, rng)):
+        events.append((idx, durations))
+        if len(idx) <= _SPARSE_DENSITY * n_iterations:
+            sparse.append(node)
+            continue
         np.add.at(row, idx, durations)
         totals[node] = row.sum()
         # Durations are non-negative, so no charged slot is below
         # t_work: the row's maximum is among the charged slots.
-        maxima[node] = row[idx].max() if len(idx) else t_work
+        maxima[node] = row[idx].max()
         row[idx] = t_work  # uncharge the row for the next node
-        events.append((idx, durations))
+    if sparse:
+        keys = np.concatenate([events[node][0] + i * n_iterations
+                               for i, node in enumerate(sparse)])
+        charged, inverse = np.unique(keys, return_inverse=True)
+        lengths = np.full(len(charged), t_work, dtype=float)
+        np.add.at(lengths, inverse,
+                  np.concatenate([events[node][1] for node in sparse]))
+        totals[sparse] = _pairwise_row_sums(tree, charged, lengths,
+                                            len(sparse), t_work)
+        peaks = np.full(len(sparse), t_work)
+        np.maximum.at(peaks, charged // n_iterations, lengths)
+        maxima[sparse] = peaks
     keep = min(keep, n_nodes)
     index = np.argpartition(totals, -keep)[-keep:]
     return WorstNodes(

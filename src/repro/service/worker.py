@@ -72,7 +72,8 @@ class Worker:
         self.lease_ticks = max(1, int(lease_ticks))
         self.drain = drain
         self.max_polls = max_polls
-        self._cache = RunCache(queue.cache_dir) if use_cache else None
+        self._cache = RunCache(queue.cache_dir, durable=queue.durable) \
+            if use_cache else None
         #: The flight recorder (``--telemetry``): lifecycle events,
         #: trace segments and counter snapshots spooled durably to
         #: ``telemetry/<worker-id>.jsonl``.  Off by default — the

@@ -189,8 +189,8 @@ def test_trial_batching_bit_identical_and_faster():
 @pytest.mark.perfsmoke
 def test_mpi_fwq_streamed_selection_faster_than_dense():
     """Same-run dense-vs-streamed pair: the MPI-FWQ worst-node
-    selection ranked through one reused row must report the same
-    maximum as the dense (nodes, iterations) timeline and beat it.
+    selection ranked from each node's charged slots must report the
+    same maximum as the dense (nodes, iterations) timeline and beat it.
     The ratio is a hard ``vs`` budget gate."""
     os_instance = build(get_platform("fugaku-production")).os_instance
     config = FwqConfig(duration=360.0)

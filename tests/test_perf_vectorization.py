@@ -23,8 +23,11 @@ from repro.errors import ConfigurationError
 from repro.noise.analytic import max_noise_length, noise_rate
 from repro.noise.catalog import noise_sources_for
 from repro.noise.sampler import (
+    _SPARSE_DENSITY,
     BarrierDelaySampler,
-    _sparse_pairwise_sum,
+    _node_events,
+    _pairwise_row_sums,
+    _pairwise_tree,
     fwq_iteration_lengths,
     multi_core_fwq,
     pooled_fwq_stats,
@@ -249,19 +252,32 @@ def _rare_sources(_os_instance):
     return [NoiseSource("rare", interval=4.0, duration=Fixed(us(500)))]
 
 
-@pytest.mark.parametrize("sources, nodes, keep, duration", [
-    pytest.param(_catalogue, 8, 3, 1.0, id="keep-below-nodes"),
-    pytest.param(_catalogue, 8, 8, 1.0, id="keep-equals-nodes"),
-    pytest.param(_catalogue, 8, 20, 1.0, id="keep-above-nodes"),
-    pytest.param(_catalogue, 8, 1, 1.0, id="keep-one"),
-    pytest.param(lambda _os: [], 6, 4, 1.0, id="no-sources-all-tie"),
-    pytest.param(_rare_sources, 12, 8, 1.0, id="eventless-nodes"),
+def _straddling_sources(os_instance):
+    # With the rare source, Poisson events at the dense/sparse
+    # crossover's mean count per node: one run sums some nodes' dense
+    # rows and replays the rest from their charged slots.
+    rare = _rare_sources(os_instance)
+    rate = _SPARSE_DENSITY / 6.5e-3 - sum(1.0 / s.interval for s in rare)
+    return [NoiseSource("crossover", interval=1.0 / rate,
+                        duration=Fixed(us(3))), *rare]
+
+
+@pytest.mark.parametrize("sources, nodes, keep, duration, straddles", [
+    pytest.param(_catalogue, 8, 3, 1.0, False, id="keep-below-nodes"),
+    pytest.param(_catalogue, 8, 8, 1.0, False, id="keep-equals-nodes"),
+    pytest.param(_catalogue, 8, 20, 1.0, False, id="keep-above-nodes"),
+    pytest.param(_catalogue, 8, 1, 1.0, False, id="keep-one"),
+    pytest.param(lambda _os: [], 6, 4, 1.0, False, id="no-sources-all-tie"),
+    pytest.param(_rare_sources, 12, 8, 1.0, False, id="eventless-nodes"),
     # 2 x 9,230 iterations: not a multiple of 128, and longer than
     # numpy's reduction buffer, so the row sums take the blocked path.
-    pytest.param(_catalogue, 5, 2, 60.0, id="long-unaligned-rows"),
+    pytest.param(_catalogue, 5, 2, 60.0, False, id="long-unaligned-rows"),
+    pytest.param(_straddling_sources, 12, 5, 60.0, True,
+                 id="both-sides-of-crossover"),
 ])
 def test_run_mpi_fwq_bitwise_matches_per_node_loop(
-        fugaku_linux, monkeypatch, sources, nodes, keep, duration):
+        fugaku_linux, monkeypatch, sources, nodes, keep, duration,
+        straddles):
     catalogue = sources(fugaku_linux)
     monkeypatch.setattr(fwq_mod, "noise_sources_for",
                         lambda *_a, **_k: catalogue)
@@ -275,6 +291,12 @@ def test_run_mpi_fwq_bitwise_matches_per_node_loop(
     per_node = multi_core_fwq(catalogue, config.quantum, n_iter, nodes,
                               np.random.default_rng(4))
     kept = worst_nodes(per_node, keep)
+    if straddles:
+        counts = [len(idx) for idx, _ in _node_events(
+            catalogue, config.quantum, n_iter, nodes,
+            np.random.default_rng(4))]
+        dense = sum(n > _SPARSE_DENSITY * n_iter for n in counts)
+        assert 0 < dense < nodes
     assert streamed.worst.totals.tobytes() == \
         per_node.sum(axis=1).tobytes()
     assert streamed.max_length == streamed.node_lengths.max()
@@ -285,33 +307,49 @@ def test_run_mpi_fwq_bitwise_matches_per_node_loop(
 # -- Table 2's pooled statistics from the charged slots ----------------
 
 
+#: Row backgrounds: Table 2's rates (+0.0), fig4's quantum, and signed
+#: magnitudes over 16 decades.
+_backgrounds = st.one_of(
+    st.sampled_from([0.0, 6.5e-3]),
+    st.builds(lambda sign, e: sign * 10.0 ** e, st.sampled_from([-1.0, 1.0]),
+              st.integers(-8, 7)),
+)
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     n=st.one_of(
+        st.integers(0, 7),
         st.integers(0, 300),
-        st.sampled_from([127, 128, 129, 136, 1_023, 553_841, 553_846,
-                         1_000_000]),
+        st.sampled_from([127, 128, 129, 136, 1_023, 553_840, 553_841,
+                         553_846, 1_000_000]),
         st.integers(0, 1_000_000),
     ),
+    rows=st.integers(1, 4),
+    background=_backgrounds,
     density=st.one_of(st.sampled_from([0.0, 1.0]),
                       st.floats(-7.0, 0.0).map(lambda e: 10.0 ** e)),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_sparse_pairwise_sum_bitwise_matches_add_reduce(n, density, seed):
-    """The replayed tree equals numpy's own ``add.reduce`` of the dense
-    array: a numpy release that changes its summation tree fails here
-    instead of silently moving Table 2's digits."""
+def test_sparse_pairwise_sum_bitwise_matches_add_reduce(n, rows, background,
+                                                        density, seed):
+    """The replayed tree equals numpy's own ``add.reduce`` of each dense
+    row: a numpy release that changes its summation tree fails here
+    instead of silently moving Table 2's or Figure 4's digits."""
     rng = np.random.default_rng(seed)
-    positions = np.flatnonzero(rng.random(n) < density)
+    keys = np.flatnonzero(rng.random(rows * n) < density)
     # Signs and magnitudes spread over 16 decades, so any change to the
     # order of the additions shows in the rounding.  (+ 0.0 turns a
     # -0.0 into +0.0; the sum's contract excludes -0.0 values.)
-    values = (rng.standard_normal(len(positions))
-              * 10.0 ** rng.integers(-8, 8, len(positions))) + 0.0
-    dense = np.zeros(n)
-    dense[positions] = values
-    got = _sparse_pairwise_sum(positions, values, n)
-    assert np.float64(got).tobytes() == np.add.reduce(dense).tobytes()
+    values = (rng.standard_normal(len(keys))
+              * 10.0 ** rng.integers(-8, 8, len(keys))) + 0.0
+    dense = np.full(rows * n, background)
+    dense[keys] = values
+    got = _pairwise_row_sums(_pairwise_tree(n), keys, values, rows,
+                             background)
+    assert got.shape == (rows,)
+    for total, row in zip(got, dense.reshape(rows, n)):
+        assert total.tobytes() == np.add.reduce(row).tobytes()
 
 
 @pytest.mark.parametrize("sources, cores, every_slot_charged", [

@@ -8,6 +8,7 @@ including after crashes and lease breaks.
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
@@ -328,6 +329,19 @@ def test_worker_run_job_matches_engine_results(queue):
     assert payload["jobspec"]["kind"] == "run"
     [serial] = ExecutionEngine().run_specs([spec])
     assert result_from_dict(payload["results"][0]) == serial
+
+
+def test_non_durable_drain_issues_no_fsync(tmp_path, monkeypatch):
+    """A ``durable=False`` queue fsyncs nothing: the worker's run cache
+    follows the queue's durability, as its telemetry spool does."""
+    queue = JobQueue(tmp_path / "svc", durable=False)
+    queue.submit(JobSpec.for_specs([_spec(), _spec(nodes=16)]))
+    fsyncs = []
+    monkeypatch.setattr(os, "fsync", fsyncs.append)
+    summary = _fast_worker(queue, telemetry=True).run()
+    assert summary["executed"] == 1 and summary["failed"] == 0
+    assert len(list(queue.cache_dir.rglob("*.json"))) == 2
+    assert fsyncs == []
 
 
 def test_worker_sweep_preserves_spec_order(queue):
